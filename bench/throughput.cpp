@@ -22,6 +22,15 @@
 // carries kernel tier, scanned_fraction, and prefilter_recall (1.0 for
 // exact rows).
 //
+// The sweep/epilogue split: accel::ImcSearchEngine scores through the
+// shared hd::sweep_top_k core, so its Fidelity::kIdeal rows time the sweep
+// alone and its kStatistical rows the sweep plus the keyed-noise epilogue
+// (one util::counter_normal Box-Muller draw per pair). Both run single-
+// threaded over a contiguous copy of the references (the mapped-index
+// layout), report ns per (query, candidate) pair, and compare every timed
+// repetition's hits against a per-pair oracle (bipolar_dot +
+// counter_normal + insert_top_k) — "oracle_identical" in the JSON.
+//
 // Besides the batched-vs-fanout table this bench measures intra-block
 // shard parallelism (sequential vs concurrent shard tasks inside each
 // sharded query block) and emits BENCH_sharded.json, including the
@@ -33,10 +42,12 @@
 // (min/max are tracked exactly, independent of the bucket ladder), so the
 // bench reports through the same instrument the engine exports live.
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "accel/imc_search.hpp"
 #include "accel/perf_model.hpp"
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
@@ -105,6 +116,12 @@ struct Measurement {
   /// Fraction of queries whose best hit matches the exact search's best
   /// hit, measured bench-side. 1.0 for exact configurations.
   double top1_recall = 1.0;
+  /// Sweep/epilogue rows only (0 elsewhere): single-threaded wall ns per
+  /// (query, candidate) pair.
+  double ns_per_pair = 0.0;
+  /// Sweep/epilogue rows: every timed repetition matched the per-pair
+  /// oracle bit for bit.
+  bool oracle_identical = true;
   BackendStats stats;
 };
 
@@ -126,6 +143,41 @@ double best_of(oms::obs::MetricsRegistry& reg, const std::string& metric,
   }
   const oms::obs::Snapshot snap = reg.snapshot();
   return snap.histogram(metric)->min;
+}
+
+/// The keyed noise model written out per pair, independently of the
+/// engine's sweep: the oracle the sweep/epilogue rows are checked against.
+std::vector<std::vector<oms::hd::SearchHit>> oracle_scores(
+    const oms::accel::ImcSearchEngine& engine,
+    std::span<const oms::util::BitVec> refs, const std::vector<Query>& batch,
+    std::size_t k) {
+  const oms::accel::ImcSearchConfig& cfg = engine.config();
+  const bool noisy = cfg.fidelity == oms::accel::Fidelity::kStatistical &&
+                     engine.phase_sigma() > 0.0;
+  std::vector<std::vector<oms::hd::SearchHit>> out(batch.size());
+  for (std::size_t q = 0; q < batch.size(); ++q) {
+    const oms::util::BitVec& hv = *batch[q].hv;
+    const double dim = static_cast<double>(hv.size());
+    const double sqrt_phases = std::sqrt(static_cast<double>(
+        (hv.size() + cfg.activated_pairs - 1) / cfg.activated_pairs));
+    const std::uint64_t key = oms::util::hash_combine(cfg.seed, batch[q].stream);
+    for (std::size_t i = batch[q].first; i < std::min(batch[q].last, refs.size());
+         ++i) {
+      const double exact =
+          static_cast<double>(oms::util::bipolar_dot(hv, refs[i]));
+      double d = exact;
+      if (noisy) {
+        const double z = oms::util::counter_normal(key, i + cfg.index_offset);
+        d = engine.gain() * exact + z * engine.phase_sigma() * sqrt_phases;
+      }
+      oms::hd::insert_top_k(
+          out[q],
+          oms::hd::SearchHit{i, static_cast<std::int64_t>(std::llround(d)),
+                             (d / dim + 1.0) / 2.0},
+          k);
+    }
+  }
+  return out;
 }
 
 void write_json(const std::string& path,
@@ -151,7 +203,10 @@ void write_json(const std::string& path,
         << ", \"contiguous_refs\": " << (s.contiguous_refs ? "true" : "false")
         << ", \"scanned_fraction\": " << s.scanned_fraction()
         << ", \"prefilter_recall\": " << s.prefilter_recall()
-        << ", \"top1_recall\": " << m.top1_recall << "}"
+        << ", \"top1_recall\": " << m.top1_recall
+        << ", \"ns_per_pair\": " << m.ns_per_pair
+        << ", \"oracle_identical\": "
+        << (m.oracle_identical ? "true" : "false") << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -320,6 +375,86 @@ int main(int argc, char** argv) {
                 ptable.str().c_str());
   }
 
+  bool oracle_ok = true;
+  // --- Sweep vs noise epilogue (accel::ImcSearchEngine) -------------------
+  // Same engine, same shared sweep core: kIdeal scores with the exact dot
+  // (the sweep alone), kStatistical adds the keyed-noise epilogue. The
+  // difference is what the per-pair noise draw costs. One thread, blocks
+  // of opts.query_block, over a contiguous word block so the sweep runs on
+  // one extent as it does over a mapped LibraryIndex.
+  {
+    const std::size_t wc = (dim + 63) / 64;
+    std::vector<std::uint64_t> block(wc * n_refs);
+    std::vector<oms::util::BitVec> views;
+    views.reserve(n_refs);
+    for (std::size_t i = 0; i < n_refs; ++i) {
+      const auto words = refs[i].words();
+      std::copy(words.begin(), words.end(), block.begin() + i * wc);
+      views.push_back(oms::util::BitVec::view(block.data() + i * wc, dim));
+    }
+    std::size_t pairs = 0;
+    for (const Query& q : batch) pairs += q.last - q.first;
+
+    oms::util::Table etable({"fidelity", "ns/pair", "queries/sec",
+                             "oracle identical"});
+    std::vector<double> ns;
+    for (const auto fidelity : {oms::accel::Fidelity::kIdeal,
+                                oms::accel::Fidelity::kStatistical}) {
+      oms::accel::ImcSearchConfig cfg;
+      cfg.fidelity = fidelity;
+      cfg.calibration_samples = opts.calibration_samples;
+      cfg.seed = opts.seed;
+      const oms::accel::ImcSearchEngine engine(views, cfg);
+      const auto want = oracle_scores(engine, views, batch, k);
+      const bool ideal = fidelity == oms::accel::Fidelity::kIdeal;
+
+      Measurement m;
+      const double secs = best_of(
+          reg, std::string("bench.imc_engine.") +
+                   (ideal ? "ideal" : "statistical") + "_seconds",
+          reps,
+          [&] {
+            const std::span<const Query> all(batch);
+            for (std::size_t b = 0; b < batch.size(); b += opts.query_block) {
+              const std::size_t n = std::min(opts.query_block, batch.size() - b);
+              const auto hits = engine.search_many(all.subspan(b, n), k);
+              for (std::size_t j = 0; j < n; ++j) {
+                m.oracle_identical =
+                    m.oracle_identical && hits[j] == want[b + j];
+              }
+            }
+          },
+          [] {});
+      m.backend = "imc-engine";
+      m.mode = ideal ? "sweep-only" : "sweep+noise-epilogue";
+      m.references = n_refs;
+      m.queries = batch.size();
+      m.seconds = secs;
+      m.queries_per_sec = static_cast<double>(batch.size()) / secs;
+      m.ns_per_pair = secs * 1e9 / static_cast<double>(std::max<std::size_t>(1, pairs));
+      m.stats.phase_sigma = engine.phase_sigma();
+      m.stats.kernel = oms::hd::kernels::tier_name(oms::hd::kernels::active_tier());
+      m.stats.contiguous_refs = engine.ref_view().contiguous();
+      results.push_back(m);
+      ns.push_back(m.ns_per_pair);
+      oracle_ok = oracle_ok && m.oracle_identical;
+      etable.add_row({ideal ? "ideal (sweep)" : "statistical (sweep+noise)",
+                      oms::util::Table::fmt(m.ns_per_pair, 1),
+                      oms::util::Table::fmt(m.queries_per_sec, 1),
+                      m.oracle_identical ? "yes" : "NO"});
+    }
+    std::printf("Sweep vs noise epilogue (ImcSearchEngine, 1 thread, %zu "
+                "pairs, kernel=%s):\n%s"
+                "noise epilogue: %.1f ns/pair (%.0f%% of the statistical "
+                "pair cost)\n\n",
+                pairs,
+                std::string(oms::hd::kernels::tier_name(
+                                oms::hd::kernels::active_tier()))
+                    .c_str(),
+                etable.str().c_str(), ns[1] - ns[0],
+                ns[1] > 0 ? 100.0 * (ns[1] - ns[0]) / ns[1] : 0.0);
+  }
+
   write_json(out_path, results, dim, k);
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -442,5 +577,5 @@ int main(int argc, char** argv) {
       "batched SIMD exact sweep saves — its regime is wide open-search\n"
       "windows over large libraries, where scanned fraction bounds the\n"
       "exact-sweep traffic.\n");
-  return 0;
+  return oracle_ok ? 0 : 1;  // an oracle mismatch fails the bench run loudly
 }

@@ -10,6 +10,7 @@ ImcSearchEngine::ImcSearchEngine(std::span<const util::BitVec> references,
                                  const ImcSearchConfig& cfg)
     : cfg_(cfg),
       refs_(references),
+      view_(hd::RefView::from_span(references)),
       rng_(util::hash_combine(cfg.seed, 0x1333C5ULL)) {
   if (refs_.empty()) return;
   const std::size_t dim = refs_.front().size();
@@ -75,7 +76,7 @@ ImcSearchEngine::~ImcSearchEngine() = default;
 double ImcSearchEngine::statistical_dot(const util::BitVec& query,
                                         std::size_t index) {
   const double exact = static_cast<double>(util::bipolar_dot(query, refs_[index]));
-  if (cfg_.fidelity == Fidelity::kIdeal || phase_sigma_ <= 0.0) return exact;
+  if (!noisy()) return exact;
   const std::size_t phases = phases_per_query(query);
   phases_executed_.fetch_add(phases, std::memory_order_relaxed);
   return gain_ * exact +
@@ -116,20 +117,13 @@ double ImcSearchEngine::dot(const util::BitVec& query, std::size_t index) {
   return statistical_dot(query, index);
 }
 
-double ImcSearchEngine::keyed_value(const util::BitVec& query,
+double ImcSearchEngine::noisy_value(double exact, std::uint64_t key,
                                     std::size_t index,
-                                    std::uint64_t stream) const {
-  const double exact =
-      static_cast<double>(util::bipolar_dot(query, refs_[index]));
-  if (cfg_.fidelity == Fidelity::kIdeal || phase_sigma_ <= 0.0) return exact;
-
+                                    double sqrt_phases) const noexcept {
   // Keyed on the *global* reference index so a shard reproduces exactly
   // the noise a monolithic engine would apply to the same reference.
-  const double z = util::counter_normal(util::hash_combine(cfg_.seed, stream),
-                                        index + cfg_.index_offset);
-  const std::size_t phases = phases_per_query(query);
-  return gain_ * exact +
-         z * phase_sigma_ * std::sqrt(static_cast<double>(phases));
+  const double z = util::counter_normal(key, index + cfg_.index_offset);
+  return gain_ * exact + z * phase_sigma_ * sqrt_phases;
 }
 
 double ImcSearchEngine::dot_keyed(const util::BitVec& query, std::size_t index,
@@ -140,37 +134,31 @@ double ImcSearchEngine::dot_keyed(const util::BitVec& query, std::size_t index,
   if (cfg_.fidelity == Fidelity::kCircuit) {
     throw std::logic_error("dot_keyed is not available in circuit fidelity");
   }
-  if (cfg_.fidelity == Fidelity::kStatistical && phase_sigma_ > 0.0) {
-    phases_executed_.fetch_add(phases_per_query(query),
-                               std::memory_order_relaxed);
-  }
-  return keyed_value(query, index, stream);
+  const double exact =
+      static_cast<double>(util::bipolar_dot(query, refs_[index]));
+  if (!noisy()) return exact;
+  const std::size_t phases = phases_per_query(query);
+  phases_executed_.fetch_add(phases, std::memory_order_relaxed);
+  return noisy_value(exact, util::hash_combine(cfg_.seed, stream), index,
+                     std::sqrt(static_cast<double>(phases)));
 }
 
 std::vector<hd::SearchHit> ImcSearchEngine::top_k_keyed(
     const util::BitVec& query, std::size_t first, std::size_t last,
     std::size_t k, std::uint64_t stream) const {
-  std::vector<hd::SearchHit> hits;
   if (cfg_.fidelity == Fidelity::kCircuit) {
     throw std::logic_error(
         "top_k_keyed is not available in circuit fidelity");
   }
   last = std::min(last, refs_.size());
-  if (k == 0 || first >= last) return hits;
-  const double dim = static_cast<double>(query.size());
-  if (cfg_.fidelity == Fidelity::kStatistical && phase_sigma_ > 0.0) {
+  if (k == 0 || first >= last) return {};
+  if (noisy()) {
     // One batched update instead of a contended per-candidate increment.
     phases_executed_.fetch_add(phases_per_query(query) * (last - first),
                                std::memory_order_relaxed);
   }
-
-  for (std::size_t i = first; i < last; ++i) {
-    const double d = keyed_value(query, i, stream);
-    const auto dot_int = static_cast<std::int64_t>(std::llround(d));
-    hd::insert_top_k(hits, hd::SearchHit{i, dot_int, (d / dim + 1.0) / 2.0},
-                     k);
-  }
-  return hits;
+  const hd::BatchQuery q{&query, first, last, stream};
+  return std::move(sweep_keyed(std::span(&q, 1), k).front());
 }
 
 std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
@@ -179,65 +167,54 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::search_many(
     throw std::logic_error(
         "search_many is not available in circuit fidelity");
   }
-  std::vector<std::vector<hd::SearchHit>> out(queries.size());
-  if (k == 0 || queries.empty()) return out;
-
-  std::vector<hd::BatchQuery> clipped(queries.begin(), queries.end());
-  for (hd::BatchQuery& q : clipped) {
-    q.last = std::min(q.last, refs_.size());
-    q.first = std::min(q.first, q.last);
+  if (k == 0 || queries.empty()) {
+    return std::vector<std::vector<hd::SearchHit>>(queries.size());
   }
-
-  const bool noisy =
-      cfg_.fidelity == Fidelity::kStatistical && phase_sigma_ > 0.0;
-
-  // Per-query constants hoisted out of the sweep: the fan-out path redoes
-  // the stream-key hash and √phases for every (query, reference) visit.
-  // Multiplication order below matches keyed_value exactly, so hoisting
-  // cannot move a score by even one ulp.
-  std::vector<std::uint64_t> keys(clipped.size());
-  std::vector<double> sqrt_phases(clipped.size());
-  for (std::size_t slot = 0; slot < clipped.size(); ++slot) {
-    keys[slot] = util::hash_combine(cfg_.seed, clipped[slot].stream);
-    sqrt_phases[slot] = std::sqrt(
-        static_cast<double>(phases_per_query(*clipped[slot].hv)));
-  }
-
-  std::uint64_t phases = 0;
-  hd::for_each_query_segment(
-      clipped, [&](std::size_t lo, std::size_t hi,
-                   std::span<const std::size_t> active) {
-        if (noisy) {
-          // Shared phase scheduling: one activation pass over this
-          // segment's reference rows serves every covering query, so the
-          // phase count is per segment, not per (query, segment).
+  const std::vector<hd::BatchQuery> clipped =
+      hd::clip_queries(queries, refs_.size());
+  if (noisy()) {
+    // Shared phase scheduling: one activation pass over a segment's
+    // reference rows serves every covering query, so the phase count is
+    // per segment, not per (query, segment).
+    std::uint64_t phases = 0;
+    hd::for_each_query_segment(
+        clipped, [&](std::size_t lo, std::size_t hi,
+                     std::span<const std::size_t> active) {
           phases += phases_per_query(*clipped[active.front()].hv) * (hi - lo);
-        }
-        for (std::size_t i = lo; i < hi; ++i) {
-          for (const std::size_t slot : active) {
-            const hd::BatchQuery& q = clipped[slot];
-            const double exact =
-                static_cast<double>(util::bipolar_dot(*q.hv, refs_[i]));
-            double d = exact;
-            if (noisy) {
-              const double z =
-                  util::counter_normal(keys[slot], i + cfg_.index_offset);
-              d = gain_ * exact + z * phase_sigma_ * sqrt_phases[slot];
-            }
-            const auto dot_int = static_cast<std::int64_t>(std::llround(d));
-            hd::insert_top_k(
-                out[slot],
-                hd::SearchHit{i, dot_int,
-                              (d / static_cast<double>(q.hv->size()) + 1.0) /
-                                  2.0},
-                k);
-          }
-        }
-      });
-  if (phases > 0) {
+        });
     phases_executed_.fetch_add(phases, std::memory_order_relaxed);
   }
-  return out;
+  return sweep_keyed(clipped, k);
+}
+
+std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::sweep_keyed(
+    std::span<const hd::BatchQuery> queries, std::size_t k) const {
+  // Per-slot constants hoisted out of the sweep. The epilogue is the
+  // per-pair dot_keyed formula — exact dot, noisy_value's multiplication
+  // order, dot = llround(score), similarity = (score / D + 1) / 2 — so
+  // every hit is bit-identical to a per-pair dot_keyed scan.
+  std::vector<double> dims(queries.size());
+  std::vector<std::uint64_t> keys(queries.size());
+  std::vector<double> sqrt_phases(queries.size());
+  for (std::size_t slot = 0; slot < queries.size(); ++slot) {
+    const util::BitVec& hv = *queries[slot].hv;
+    dims[slot] = static_cast<double>(hv.size());
+    keys[slot] = util::hash_combine(cfg_.seed, queries[slot].stream);
+    sqrt_phases[slot] =
+        std::sqrt(static_cast<double>(phases_per_query(hv)));
+  }
+  const bool noisy = this->noisy();
+  return hd::sweep_top_k(
+      queries, view_, k,
+      [&](std::size_t slot, std::size_t index, std::size_t ham) {
+        // D - 2·ham is an integer below 2^53, so the double is exact.
+        const double exact = dims[slot] - 2.0 * static_cast<double>(ham);
+        const double d = noisy ? noisy_value(exact, keys[slot], index,
+                                             sqrt_phases[slot])
+                               : exact;
+        return hd::SearchHit{index, static_cast<std::int64_t>(std::llround(d)),
+                             (d / dims[slot] + 1.0) / 2.0};
+      });
 }
 
 std::vector<hd::SearchHit> ImcSearchEngine::top_k(const util::BitVec& query,

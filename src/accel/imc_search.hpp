@@ -12,6 +12,16 @@
 //                    sigma measured by calibrate_mvm_error. Scales to
 //                    full workloads (Figs. 10/11/13).
 //  * kIdeal        — exact search (equivalent to hd::top_k_search).
+//
+// The keyed and batched paths of both non-circuit fidelities (top_k_keyed,
+// search_many — and through them accel::ShardedSearch) run on the shared
+// hd::sweep_top_k core over a piecewise hd::RefView built once at
+// construction: tier-dispatched, cache-blocked exact Hamming distances per
+// (query, reference), then a per-pair score epilogue — gain·exact +
+// z·σ·√phases with z = util::counter_normal keyed on (seed, stream, global
+// reference index) in statistical fidelity, the exact dot in ideal
+// fidelity. Circuit fidelity stays on its own per-pair path because its
+// analog arrays carry per-call state.
 #pragma once
 
 #include <atomic>
@@ -25,6 +35,7 @@
 #include "hd/search.hpp"
 #include "rram/chip.hpp"
 #include "util/bitvec.hpp"
+#include "util/rng.hpp"
 
 namespace oms::accel {
 
@@ -61,6 +72,9 @@ class ImcSearchEngine {
   [[nodiscard]] std::size_t reference_count() const noexcept {
     return refs_.size();
   }
+  /// The piecewise layout the keyed/batched sweeps run over (built once
+  /// from the reference span; one extent for a contiguous word block).
+  [[nodiscard]] const hd::RefView& ref_view() const noexcept { return view_; }
   /// Phase sigma used in statistical mode (0 for ideal fidelity).
   [[nodiscard]] double phase_sigma() const noexcept { return phase_sigma_; }
   /// Fitted IR-droop gain applied to statistical scores (1 for ideal).
@@ -84,7 +98,8 @@ class ImcSearchEngine {
   [[nodiscard]] double dot_keyed(const util::BitVec& query, std::size_t index,
                                  std::uint64_t stream) const;
 
-  /// Thread-safe top-k built on dot_keyed (statistical/ideal only).
+  /// Thread-safe top-k with dot_keyed scores (statistical/ideal only): a
+  /// block of one through search_many's sweep.
   [[nodiscard]] std::vector<hd::SearchHit> top_k_keyed(
       const util::BitVec& query, std::size_t first, std::size_t last,
       std::size_t k, std::uint64_t stream) const;
@@ -111,10 +126,19 @@ class ImcSearchEngine {
                                    std::size_t index);
   [[nodiscard]] double statistical_dot(const util::BitVec& query,
                                        std::size_t index);
-  /// dot_keyed without the phase accounting (top_k_keyed batches it).
-  [[nodiscard]] double keyed_value(const util::BitVec& query,
+  /// True when keyed scores carry noise (statistical fidelity, sigma > 0).
+  [[nodiscard]] bool noisy() const noexcept {
+    return cfg_.fidelity == Fidelity::kStatistical && phase_sigma_ > 0.0;
+  }
+  /// The keyed score of a noisy pair: gain·exact + z·σ·√phases, z drawn
+  /// from (key = hash_combine(seed, stream), global reference index).
+  [[nodiscard]] double noisy_value(double exact, std::uint64_t key,
                                    std::size_t index,
-                                   std::uint64_t stream) const;
+                                   double sqrt_phases) const noexcept;
+  /// search_many after clipping and phase accounting: the shared sweep with
+  /// this engine's score epilogue.
+  [[nodiscard]] std::vector<std::vector<hd::SearchHit>> sweep_keyed(
+      std::span<const hd::BatchQuery> queries, std::size_t k) const;
   [[nodiscard]] std::size_t phases_per_query(
       const util::BitVec& query) const noexcept {
     return (query.size() + cfg_.activated_pairs - 1) / cfg_.activated_pairs;
@@ -122,6 +146,7 @@ class ImcSearchEngine {
 
   ImcSearchConfig cfg_;
   std::span<const util::BitVec> refs_;
+  hd::RefView view_;
   double phase_sigma_ = 0.0;
   double gain_ = 1.0;
   mutable std::atomic<std::uint64_t> phases_executed_{0};

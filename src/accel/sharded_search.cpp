@@ -240,6 +240,18 @@ std::uint64_t ShardedSearch::phases_executed() const noexcept {
   return total;
 }
 
+std::size_t ShardedSearch::extent_count() const noexcept {
+  std::size_t total = 0;
+  for (const auto& s : shards_) total += s->ref_view().extent_count();
+  return total;
+}
+
+bool ShardedSearch::contiguous_shards() const noexcept {
+  return std::all_of(shards_.begin(), shards_.end(), [](const auto& s) {
+    return s->ref_view().contiguous();
+  });
+}
+
 double ShardedSearch::phase_sigma() const noexcept {
   return weighted_over_shards(
       shards_, [](const ImcSearchEngine& s) { return s.phase_sigma(); }, 0.0);

@@ -94,6 +94,12 @@ class ShardedSearch {
   [[nodiscard]] std::uint64_t shard_phases_executed(std::size_t i) const {
     return shards_.at(i)->phases_executed();
   }
+  /// Extents the per-shard sweeps run over, summed across shards (each
+  /// shard engine coalesces its own slice into an hd::RefView; a
+  /// contiguous library yields one extent per shard).
+  [[nodiscard]] std::size_t extent_count() const noexcept;
+  /// True when every shard's slice is one contiguous word block.
+  [[nodiscard]] bool contiguous_shards() const noexcept;
   /// The mapping plan of shard `i` (for capacity/energy accounting).
   [[nodiscard]] const MappingPlan& plan(std::size_t i) const {
     return plans_.at(i);

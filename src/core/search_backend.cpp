@@ -236,7 +236,9 @@ class IdealHdBackend final : public SearchBackend {
   PrefilterAtomicCounters prefilter_counters_;
 };
 
-/// One in-memory-compute engine (statistical or circuit fidelity).
+/// One in-memory-compute engine (statistical or circuit fidelity). The
+/// keyed fidelities sweep the engine's piecewise view through the shared
+/// hd::sweep_top_k core with the noise epilogue.
 class ImcBackend final : public SearchBackend {
  public:
   ImcBackend(std::string name, std::span<const util::BitVec> references,
@@ -284,6 +286,14 @@ class ImcBackend final : public SearchBackend {
     s.phases_executed = engine_.phases_executed();
     s.phase_sigma = engine_.phase_sigma();
     s.gain = engine_.gain();
+    if (engine_.config().fidelity != accel::Fidelity::kCircuit) {
+      // The keyed sweeps run on the digital kernel; circuit fidelity
+      // simulates the analog arrays instead.
+      const hd::RefView& view = engine_.ref_view();
+      s.kernel = hd::kernels::tier_name(hd::kernels::active_tier());
+      s.contiguous_refs = view.contiguous();
+      s.extent_count = view.extent_count();
+    }
     counters_.fill(s);
     return s;
   }
@@ -332,6 +342,9 @@ class ShardedBackend final : public SearchBackend {
     s.phase_sigma = sharded_.phase_sigma();
     s.gain = sharded_.gain();
     s.shard_entries = sharded_.shard_entries();
+    s.kernel = hd::kernels::tier_name(hd::kernels::active_tier());
+    s.contiguous_refs = sharded_.contiguous_shards();
+    s.extent_count = sharded_.extent_count();
     counters_.fill(s);
     return s;
   }

@@ -47,22 +47,27 @@
 // encoded in-process by core::Pipeline::set_library(spectra), or mapped
 // zero-copy from a persistent index::LibraryIndex (index/library_index.hpp)
 // or multi-segment index::SegmentedLibrary, whose word blocks back every
-// backend with no re-encoding on cold start. The exact digital kernel
-// underneath "ideal-hd" dispatches at runtime over scalar / AVX2 /
-// AVX-512-VPOPCNTDQ popcount tiers (hd/kernels.hpp; all bit-identical),
-// sweeping the references through the piecewise hd::RefView seam: at
-// construction the span is coalesced into maximal contiguous extents
+// backend with no re-encoding on cold start. Every non-circuit substrate
+// scores through ONE sweep core, hd::sweep_top_k (hd/search.hpp): a
+// reference-major, cache-blocked sweep over the piecewise hd::RefView that
+// dispatches at runtime over scalar / AVX2 / AVX-512-VPOPCNTDQ popcount
+// tiers (hd/kernels.hpp; all bit-identical) and hands each exact Hamming
+// distance to a per-backend score epilogue — identity for "ideal-hd", the
+// keyed gain + MLC-noise model for "rram-statistical"
+// (accel::ImcSearchEngine), and the same per shard engine for "sharded".
+// Each backend coalesces its span once at construction
 // (RefView::from_span — a mapped monolithic block is one extent,
-// LibraryIndex::ref_matrix() the same view; a segmented library one
-// extent per run of same-segment rows), and every sweep — per-query,
-// batched, prefiltered — runs per extent with global reference indices.
-// BackendStats::kernel / contiguous_refs / extent_count report which
-// layout a run swept. The optional ANN candidate prefilter
-// (BackendOptions::prefilter) prunes each precursor window before the
-// exact sweep; see hd/search.hpp. In the serve layer, serve::Maintainer
-// (serve/maintainer.hpp) watches segmented manifests and compacts them in
-// the background, so fragmented views trend back to one extent without
-// any request-path work.
+// LibraryIndex::ref_matrix() the same view; a segmented library one extent
+// per run of same-segment rows; a sharded engine one view per shard), and
+// every sweep — per-query, batched, prefiltered — runs per extent with
+// global reference indices. BackendStats::kernel / contiguous_refs /
+// extent_count report which tier and layout a run swept ("rram-circuit",
+// which simulates the analog arrays instead, reports none). The optional
+// ANN candidate prefilter ("ideal-hd", BackendOptions::prefilter) prunes
+// each precursor window before the exact sweep; see hd/search.hpp. In the
+// serve layer, serve::Maintainer (serve/maintainer.hpp) watches segmented
+// manifests and compacts them in the background, so fragmented views trend
+// back to one extent without any request-path work.
 //
 // Multi-tenant serving seam (src/serve/): backends reporting
 // thread_safe() == true may be *shared* across concurrent sessions —
@@ -154,6 +159,9 @@ struct BackendStats {
   /// sweeps run over (hd::RefView): 1 = monolithic (contiguous_refs),
   /// >1 = segmented/fragmented but still block-swept, 0 = no piecewise
   /// view (per-BitVec fallback, or a substrate that never builds one).
+  /// "sharded" sums its shard engines' views (a contiguous library split
+  /// into S shards sweeps S extents) and reports contiguous_refs when
+  /// every shard's slice is one block.
   std::size_t extent_count = 0;
   /// ANN candidate-prefilter accounting ("ideal-hd" with
   /// BackendOptions::prefilter enabled; all zero otherwise). Candidates

@@ -17,60 +17,6 @@ SearchHit make_hit(std::size_t index, std::size_t ham,
                    1.0 - static_cast<double>(ham) / static_cast<double>(dim)};
 }
 
-/// Scratch distance buffer for the chunked sweeps, reused across chunks.
-class DistanceBuffer {
- public:
-  std::uint32_t* ensure(std::size_t n) {
-    if (buf_.size() < n) buf_.resize(n);
-    return buf_.data();
-  }
-
- private:
-  std::vector<std::uint32_t> buf_;
-};
-
-/// Calls fn(extent, local_first, local_last) for every extent of `view`
-/// overlapping global range [first, last), ascending — the per-extent
-/// decomposition every piecewise kernel shares. Binary-searches the first
-/// overlapping extent, then walks forward.
-template <typename Fn>
-void for_each_extent_range(const RefView& view, std::size_t first,
-                           std::size_t last, Fn&& fn) {
-  if (first >= last) return;
-  const std::span<const RefExtent> extents = view.extents();
-  for (std::size_t e = view.extent_index(first); e < extents.size(); ++e) {
-    const RefExtent& ext = extents[e];
-    if (ext.base >= last) break;
-    const std::size_t lo = std::max(first, ext.base);
-    const std::size_t hi = std::min(last, ext.base + ext.rows);
-    if (lo < hi) fn(ext, lo - ext.base, hi - ext.base);
-  }
-}
-
-/// Chunked sweep of one query over extent rows [lfirst, llast), inserting
-/// hits with *global* indices. The shared core of the per-query RefMatrix
-/// and RefView searches (no allocation beyond the caller's scratch).
-/// `ref_dim` sizes the word sweep, `query_dim` the dot/similarity scale —
-/// always equal in practice, kept separate to match the historical paths
-/// exactly.
-void sweep_extent_into_top_k(kernels::Tier tier, const std::uint64_t* qwords,
-                             std::size_t query_dim, std::size_t ref_dim,
-                             const RefExtent& ext, std::size_t lfirst,
-                             std::size_t llast, std::size_t k,
-                             std::vector<SearchHit>& hits,
-                             DistanceBuffer& scratch) {
-  const RefMatrix m{ext.words, ext.stride, ext.rows, ref_dim};
-  const std::size_t chunk = kernels::sweep_chunk_rows(ext.stride);
-  std::uint32_t* dist = scratch.ensure(std::min(chunk, llast - lfirst));
-  for (std::size_t c0 = lfirst; c0 < llast; c0 += chunk) {
-    const std::size_t c1 = std::min(llast, c0 + chunk);
-    kernels::hamming_sweep_tier(tier, qwords, m, c0, c1, dist);
-    for (std::size_t j = 0; j < c1 - c0; ++j) {
-      insert_top_k(hits, make_hit(ext.base + c0 + j, dist[j], query_dim), k);
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<SearchHit> top_k_search(const util::BitVec& query,
@@ -98,48 +44,21 @@ std::vector<SearchHit> top_k_search(const util::BitVec& query,
                                     const RefMatrix& references,
                                     std::size_t first, std::size_t last,
                                     std::size_t k) {
-  std::vector<SearchHit> hits;
-  if (k == 0 || first >= last) return hits;
-  last = std::min(last, references.count);
-  if (first >= last) return hits;
-
-  // The degenerate one-extent case of the piecewise sweep (no RefView
-  // allocation: the extent lives on the stack).
-  const RefExtent whole{references.words, references.stride, references.count,
-                        0};
-  DistanceBuffer scratch;
-  sweep_extent_into_top_k(kernels::active_tier(), query.words().data(),
-                          query.size(), references.dim, whole, first, last, k,
-                          hits, scratch);
-  return hits;
+  return top_k_search(query, RefView::from_matrix(references), first, last,
+                      k);
 }
 
 std::vector<SearchHit> top_k_search(const util::BitVec& query,
                                     const RefView& references,
                                     std::size_t first, std::size_t last,
                                     std::size_t k) {
-  std::vector<SearchHit> hits;
-  if (k == 0 || !references.valid()) return hits;
-  last = std::min(last, references.count());
-  if (first >= last) return hits;
-
-  const kernels::Tier tier = kernels::active_tier();
-  const std::uint64_t* qwords = query.words().data();
-  const std::size_t query_dim = query.size();
-  DistanceBuffer scratch;
-  for_each_extent_range(
-      references, first, last,
-      [&](const RefExtent& ext, std::size_t lfirst, std::size_t llast) {
-        sweep_extent_into_top_k(tier, qwords, query_dim, references.dim(),
-                                ext, lfirst, llast, k, hits, scratch);
-      });
-  return hits;
+  // A block of one through the shared sweep core.
+  const BatchQuery q{&query, first, last, 0};
+  return std::move(
+      top_k_search_batch(std::span<const BatchQuery>(&q, 1), references, k)
+          .front());
 }
 
-namespace {
-
-/// Clips every query range to [0, n_refs) once so the sweeps only see
-/// valid indices.
 std::vector<BatchQuery> clip_queries(std::span<const BatchQuery> queries,
                                      std::size_t n_refs) {
   std::vector<BatchQuery> clipped(queries.begin(), queries.end());
@@ -149,6 +68,8 @@ std::vector<BatchQuery> clip_queries(std::span<const BatchQuery> queries,
   }
   return clipped;
 }
+
+namespace {
 
 /// Per-slot query words/size, hoisted out of the reference loops (the
 /// inner loop must not re-derive them per reference × slot).
@@ -174,48 +95,15 @@ struct SlotQueries {
 std::vector<std::vector<SearchHit>> top_k_search_batch(
     std::span<const BatchQuery> queries, const RefView& references,
     std::size_t k) {
-  std::vector<std::vector<SearchHit>> out(queries.size());
-  if (k == 0 || queries.empty() || !references.valid()) return out;
-
-  const auto clipped = clip_queries(queries, references.count());
-  const SlotQueries slots(clipped);
-  const kernels::Tier tier = kernels::active_tier();
-  const std::size_t ref_dim = references.dim();
-  DistanceBuffer scratch;
-
-  for_each_query_segment(
-      clipped, [&](std::size_t lo, std::size_t hi,
-                   std::span<const std::size_t> active) {
-        // Decompose the segment into its overlapping extents, then chunk
-        // each extent so one run of reference rows stays resident while
-        // every active query is scored against it — the cache-level
-        // analogue of the crossbar's program-once-serve-the-block phase.
-        // Extents ascend and chunks ascend within them, so every query
-        // still sees its candidates in ascending global order (the
-        // insert_top_k tie-break contract).
-        for_each_extent_range(
-            references, lo, hi,
-            [&](const RefExtent& ext, std::size_t lfirst,
-                std::size_t llast) {
-              const RefMatrix m{ext.words, ext.stride, ext.rows, ref_dim};
-              const std::size_t chunk = kernels::sweep_chunk_rows(ext.stride);
-              std::uint32_t* dist =
-                  scratch.ensure(std::min(chunk, llast - lfirst));
-              for (std::size_t c0 = lfirst; c0 < llast; c0 += chunk) {
-                const std::size_t c1 = std::min(llast, c0 + chunk);
-                for (const std::size_t slot : active) {
-                  kernels::hamming_sweep_tier(tier, slots.words[slot], m, c0,
-                                              c1, dist);
-                  const std::size_t dim = slots.dims[slot];
-                  for (std::size_t j = 0; j < c1 - c0; ++j) {
-                    insert_top_k(out[slot],
-                                 make_hit(ext.base + c0 + j, dist[j], dim), k);
-                  }
-                }
-              }
-            });
-      });
-  return out;
+  std::vector<std::size_t> dims(queries.size());
+  for (std::size_t slot = 0; slot < queries.size(); ++slot) {
+    dims[slot] = queries[slot].hv->size();
+  }
+  return sweep_top_k(queries, references, k,
+                     [dims = dims.data()](std::size_t slot, std::size_t index,
+                                          std::size_t ham) {
+                       return make_hit(index, ham, dims[slot]);
+                     });
 }
 
 std::vector<std::vector<SearchHit>> top_k_search_batch(

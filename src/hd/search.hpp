@@ -9,16 +9,20 @@
 // in a block), insert_top_k (the top-k maintenance every kernel uses, so
 // tie-breaking is identical everywhere), for_each_query_segment (the
 // reference-major sweep that lets one pass over resident references serve a
-// whole block), and top_k_search_batch (the batched exact kernel built on
-// them).
+// whole block), and sweep_top_k — the one sweep core. It produces exact
+// Hamming distances per (query slot, global reference index) and each
+// substrate supplies only a score epilogue: identity for exact HD
+// (top_k_search / top_k_search_batch), gain plus keyed MLC noise for the
+// statistical RRAM engine (accel/imc_search.hpp), which the sharded engine
+// reaches through its per-shard engines.
 //
 // Kernel/dispatch seam: the word-level XOR-popcount work underneath lives
 // in hd/kernels.hpp — runtime-dispatched scalar / AVX2 / AVX-512-VPOPCNTDQ
 // tiers, all bit-identical, plus the contiguous RefMatrix view over a
 // hypervector word block and the piecewise RefView (an ordered list of
-// contiguous extents with global indices). The RefView overloads below
-// are the fast path: cache-blocked sweeps per extent, so both a mapped
-// monolithic index::LibraryIndex (one extent) and a multi-segment
+// contiguous extents with global indices). sweep_top_k runs over a RefView,
+// cache-blocked per extent, so both a mapped monolithic
+// index::LibraryIndex (one extent) and a multi-segment
 // index::SegmentedLibrary (one extent per run of same-segment rows) go
 // through the same kernel; the RefMatrix overloads are the degenerate
 // one-extent case. The span overloads auto-detect a contiguous layout per
@@ -82,12 +86,11 @@ struct SearchHit {
                                                   std::size_t last,
                                                   std::size_t k);
 
-/// Same search over a piecewise view (bit-identical results): the chunked
-/// SIMD sweep runs per extent with global reference indices, visiting
-/// candidates in ascending global order. A one-extent view takes exactly
-/// the RefMatrix path; a multi-segment SegmentedLibrary's view keeps the
-/// block sweep across its mapped segments instead of falling back to
-/// per-BitVec indirection.
+/// Same search over a piecewise view (bit-identical results): a block of
+/// one through sweep_top_k, per extent with global reference indices and
+/// candidates in ascending global order. A multi-segment SegmentedLibrary's
+/// view keeps the block sweep across its mapped segments instead of
+/// falling back to per-BitVec indirection.
 [[nodiscard]] std::vector<SearchHit> top_k_search(const util::BitVec& query,
                                                   const RefView& references,
                                                   std::size_t first,
@@ -170,6 +173,95 @@ void for_each_query_segment(std::span<const BatchQuery> queries,
   }
 }
 
+namespace detail {
+
+/// Calls fn(extent, local_first, local_last) for every extent of `view`
+/// overlapping global range [first, last), ascending. Binary-searches the
+/// first overlapping extent, then walks forward.
+template <typename Fn>
+void for_each_extent_range(const RefView& view, std::size_t first,
+                           std::size_t last, Fn&& fn) {
+  if (first >= last) return;
+  const std::span<const RefExtent> extents = view.extents();
+  for (std::size_t e = view.extent_index(first); e < extents.size(); ++e) {
+    const RefExtent& ext = extents[e];
+    if (ext.base >= last) break;
+    const std::size_t lo = std::max(first, ext.base);
+    const std::size_t hi = std::min(last, ext.base + ext.rows);
+    if (lo < hi) fn(ext, lo - ext.base, hi - ext.base);
+  }
+}
+
+}  // namespace detail
+
+/// Clips every query range to [0, n_refs) so a sweep only sees valid
+/// indices (an empty range stays empty).
+[[nodiscard]] std::vector<BatchQuery> clip_queries(
+    std::span<const BatchQuery> queries, std::size_t n_refs);
+
+/// The one sweep core every non-circuit substrate scores through: a
+/// reference-major, cache-blocked, tier-dispatched sweep of a query block
+/// over a piecewise view. For each (slot, global reference index) it
+/// computes the exact Hamming distance and hands it to the backend's score
+/// epilogue,
+///
+///   SearchHit score(std::size_t slot, std::size_t index, std::size_t ham)
+///
+/// whose hit goes through insert_top_k — identity scoring for exact HD
+/// (top_k_search_batch), the keyed noise model for simulated hardware
+/// (accel::ImcSearchEngine). Candidates reach the epilogue in ascending
+/// global order per query, so the equal-score tie-break contract holds
+/// for any epilogue. Segments of constant active queries are decomposed
+/// into their overlapping extents, and each extent is chunked
+/// (kernels::sweep_chunk_rows) so one run of reference rows stays
+/// cache-resident while every active query is scored against it — the
+/// cache-level analogue of the crossbar's program-once-serve-the-block
+/// phase. The kernel tier is resolved once per call.
+template <typename Score>
+[[nodiscard]] std::vector<std::vector<SearchHit>> sweep_top_k(
+    std::span<const BatchQuery> queries, const RefView& references,
+    std::size_t k, Score&& score) {
+  std::vector<std::vector<SearchHit>> out(queries.size());
+  if (k == 0 || queries.empty() || !references.valid()) return out;
+
+  const std::vector<BatchQuery> clipped =
+      clip_queries(queries, references.count());
+  std::vector<const std::uint64_t*> qwords(clipped.size());
+  for (std::size_t slot = 0; slot < clipped.size(); ++slot) {
+    qwords[slot] = clipped[slot].hv->words().data();
+  }
+  const kernels::Tier tier = kernels::active_tier();
+  const std::size_t ref_dim = references.dim();
+  std::vector<std::uint32_t> dist;  // per-chunk distances, reused
+
+  for_each_query_segment(
+      clipped, [&](std::size_t lo, std::size_t hi,
+                   std::span<const std::size_t> active) {
+        detail::for_each_extent_range(
+            references, lo, hi,
+            [&](const RefExtent& ext, std::size_t lfirst,
+                std::size_t llast) {
+              const RefMatrix m{ext.words, ext.stride, ext.rows, ref_dim};
+              const std::size_t chunk = kernels::sweep_chunk_rows(ext.stride);
+              dist.resize(std::max(dist.size(),
+                                   std::min(chunk, llast - lfirst)));
+              std::uint32_t* const d = dist.data();
+              for (std::size_t c0 = lfirst; c0 < llast; c0 += chunk) {
+                const std::size_t c1 = std::min(llast, c0 + chunk);
+                for (const std::size_t slot : active) {
+                  kernels::hamming_sweep_tier(tier, qwords[slot], m, c0, c1,
+                                              d);
+                  for (std::size_t j = 0; j < c1 - c0; ++j) {
+                    insert_top_k(out[slot],
+                                 score(slot, ext.base + c0 + j, d[j]), k);
+                  }
+                }
+              }
+            });
+      });
+  return out;
+}
+
 /// Batched exact kernel: searches a whole query block in one
 /// reference-major sweep. result[i] is bit-identical to
 /// top_k_search(*queries[i].hv, references, queries[i].first,
@@ -181,12 +273,9 @@ void for_each_query_segment(std::span<const BatchQuery> queries,
     std::span<const BatchQuery> queries,
     std::span<const util::BitVec> references, std::size_t k);
 
-/// Batched exact kernel over a piecewise reference view: the segment
-/// sweep runs per extent and is additionally chunked
-/// (kernels::sweep_chunk_rows) so a chunk of reference rows stays
-/// cache-resident while every active query of the block is scored against
-/// it. Bit-identical to the span overload; the kernel tier is resolved
-/// once per call.
+/// Batched exact kernel over a piecewise reference view: sweep_top_k with
+/// the identity epilogue (similarity = 1 - ham / D). Bit-identical to the
+/// span overload.
 [[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
     std::span<const BatchQuery> queries, const RefView& references,
     std::size_t k);
