@@ -25,7 +25,8 @@
 // The sweep/epilogue split: accel::ImcSearchEngine scores through the
 // shared hd::sweep_top_k core, so its Fidelity::kIdeal rows time the sweep
 // alone and its kStatistical rows the sweep plus the keyed-noise epilogue
-// (one util::counter_normal Box-Muller draw per pair). Both run single-
+// (one util::counter_normal Box-Muller draw per pair the sweep cannot
+// skip; draws_per_pair reports the share drawn). Both run single-
 // threaded over a contiguous copy of the references (the mapped-index
 // layout), report ns per (query, candidate) pair, and compare every timed
 // repetition's hits against a per-pair oracle (bipolar_dot +
@@ -119,6 +120,10 @@ struct Measurement {
   /// Sweep/epilogue rows only (0 elsewhere): single-threaded wall ns per
   /// (query, candidate) pair.
   double ns_per_pair = 0.0;
+  /// Sweep/epilogue rows: keyed noise draws per (query, candidate) pair in
+  /// one pass — below 1 where the sweep skips pairs that cannot enter the
+  /// top-k, 0 for the exact row.
+  double draws_per_pair = 0.0;
   /// Sweep/epilogue rows: every timed repetition matched the per-pair
   /// oracle bit for bit.
   bool oracle_identical = true;
@@ -205,6 +210,7 @@ void write_json(const std::string& path,
         << ", \"prefilter_recall\": " << s.prefilter_recall()
         << ", \"top1_recall\": " << m.top1_recall
         << ", \"ns_per_pair\": " << m.ns_per_pair
+        << ", \"draws_per_pair\": " << m.draws_per_pair
         << ", \"oracle_identical\": "
         << (m.oracle_identical ? "true" : "false") << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
@@ -395,8 +401,8 @@ int main(int argc, char** argv) {
     std::size_t pairs = 0;
     for (const Query& q : batch) pairs += q.last - q.first;
 
-    oms::util::Table etable({"fidelity", "ns/pair", "queries/sec",
-                             "oracle identical"});
+    oms::util::Table etable({"fidelity", "ns/pair", "draws/pair",
+                             "queries/sec", "oracle identical"});
     std::vector<double> ns;
     for (const auto fidelity : {oms::accel::Fidelity::kIdeal,
                                 oms::accel::Fidelity::kStatistical}) {
@@ -424,7 +430,11 @@ int main(int argc, char** argv) {
               }
             }
           },
-          [] {});
+          [&] {
+            m.draws_per_pair =
+                static_cast<double>(engine.noise_draws()) /
+                static_cast<double>(std::max<std::size_t>(1, pairs));
+          });
       m.backend = "imc-engine";
       m.mode = ideal ? "sweep-only" : "sweep+noise-epilogue";
       m.references = n_refs;
@@ -440,6 +450,7 @@ int main(int argc, char** argv) {
       oracle_ok = oracle_ok && m.oracle_identical;
       etable.add_row({ideal ? "ideal (sweep)" : "statistical (sweep+noise)",
                       oms::util::Table::fmt(m.ns_per_pair, 1),
+                      oms::util::Table::fmt(m.draws_per_pair, 3),
                       oms::util::Table::fmt(m.queries_per_sec, 1),
                       m.oracle_identical ? "yes" : "NO"});
     }

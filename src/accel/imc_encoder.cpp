@@ -136,12 +136,21 @@ util::BitVec ImcEncoder::encode_keyed(std::span<const std::uint32_t> bins,
       std::sqrt(static_cast<double>(bins.size()) *
                 mean_square_magnitude(cfg.id_precision));
   const std::uint64_t key = util::hash_combine(cfg_.seed, stream, 0xE2C0ULL);
+  // |sigma_acc·z| ≤ margin, and IEEE add is monotone, so a component with
+  // fl(acc − margin) > 0 is set and one with fl(acc + margin) ≤ 0 is
+  // clear whatever the draw — bit-identical to drawing for every
+  // dimension. Only components within the margin of zero draw.
+  const double margin = sigma_acc * util::kCounterNormalBound;
 
   util::BitVec hv(cfg.dim);
   for (std::size_t d = 0; d < cfg.dim; ++d) {
-    const double noisy = static_cast<double>(acc[d]) +
-                         sigma_acc * util::counter_normal(key, d);
-    if (noisy > 0.0) hv.set(d, true);
+    const double a = static_cast<double>(acc[d]);
+    if (a - margin > 0.0) {
+      hv.set(d, true);
+    } else if (a + margin > 0.0 &&
+               a + sigma_acc * util::counter_normal(key, d) > 0.0) {
+      hv.set(d, true);
+    }
   }
   return hv;
 }

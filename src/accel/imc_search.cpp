@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace oms::accel {
@@ -139,6 +140,7 @@ double ImcSearchEngine::dot_keyed(const util::BitVec& query, std::size_t index,
   if (!noisy()) return exact;
   const std::size_t phases = phases_per_query(query);
   phases_executed_.fetch_add(phases, std::memory_order_relaxed);
+  noise_draws_.fetch_add(1, std::memory_order_relaxed);
   return noisy_value(exact, util::hash_combine(cfg_.seed, stream), index,
                      std::sqrt(static_cast<double>(phases)));
 }
@@ -204,17 +206,34 @@ std::vector<std::vector<hd::SearchHit>> ImcSearchEngine::sweep_keyed(
         std::sqrt(static_cast<double>(phases_per_query(hv)));
   }
   const bool noisy = this->noisy();
-  return hd::sweep_top_k(
+  std::uint64_t draws = 0;
+  auto out = hd::sweep_top_k(
       queries, view_, k,
       [&](std::size_t slot, std::size_t index, std::size_t ham) {
         // D - 2·ham is an integer below 2^53, so the double is exact.
         const double exact = dims[slot] - 2.0 * static_cast<double>(ham);
-        const double d = noisy ? noisy_value(exact, keys[slot], index,
-                                             sqrt_phases[slot])
-                               : exact;
+        double d = exact;
+        if (noisy) {
+          d = noisy_value(exact, keys[slot], index, sqrt_phases[slot]);
+          ++draws;
+        }
         return hd::SearchHit{index, static_cast<std::int64_t>(std::llround(d)),
                              (d / dims[slot] + 1.0) / 2.0};
+      },
+      [&](std::size_t slot, std::size_t ham) {
+        const double exact = dims[slot] - 2.0 * static_cast<double>(ham);
+        if (!noisy) return static_cast<std::int64_t>(exact);
+        // noisy_value with z at kCounterNormalBound, in its operation
+        // order: IEEE rounding is monotone, so no draw can exceed it. It
+        // falls with ham only for a non-negative gain; otherwise bound
+        // nothing.
+        if (!(gain_ >= 0.0)) return std::numeric_limits<std::int64_t>::max();
+        return static_cast<std::int64_t>(std::llround(
+            gain_ * exact +
+            util::kCounterNormalBound * phase_sigma_ * sqrt_phases[slot]));
       });
+  if (draws != 0) noise_draws_.fetch_add(draws, std::memory_order_relaxed);
+  return out;
 }
 
 std::vector<hd::SearchHit> ImcSearchEngine::top_k(const util::BitVec& query,

@@ -22,6 +22,16 @@
 // reference index) in statistical fidelity, the exact dot in ideal
 // fidelity. Circuit fidelity stays on its own per-pair path because its
 // analog arrays carry per-call state.
+//
+// Skip contract: the noisy epilogue hands the sweep a ceiling,
+// llround(gain·exact + kCounterNormalBound·σ·√phases) in noisy_value's
+// operation order. util::counter_normal never exceeds that bound and IEEE
+// rounding is monotone, so once a query's top-k is full the sweep skips
+// the draw for every pair whose ceiling cannot beat the k-th dot — a pair
+// insert_top_k would have rejected anyway. Hits, dots, similarities and
+// tie-breaks are unchanged; phases_executed() still counts every phase
+// (the hardware runs them whether or not the simulator draws), and
+// noise_draws() counts the draws actually made.
 #pragma once
 
 #include <atomic>
@@ -120,6 +130,13 @@ class ImcSearchEngine {
   [[nodiscard]] std::uint64_t phases_executed() const noexcept {
     return phases_executed_.load(std::memory_order_relaxed);
   }
+  /// Keyed noise draws made so far (statistical fidelity): one per scored
+  /// pair, fewer than the swept pairs once the sweep skips hopeless ones.
+  /// Exact and scheduling-independent — each query's skips depend only on
+  /// its own candidate order.
+  [[nodiscard]] std::uint64_t noise_draws() const noexcept {
+    return noise_draws_.load(std::memory_order_relaxed);
+  }
 
  private:
   [[nodiscard]] double circuit_dot(const util::BitVec& query,
@@ -150,6 +167,7 @@ class ImcSearchEngine {
   double phase_sigma_ = 0.0;
   double gain_ = 1.0;
   mutable std::atomic<std::uint64_t> phases_executed_{0};
+  mutable std::atomic<std::uint64_t> noise_draws_{0};
   util::Xoshiro256 rng_;
 
   // Circuit mode state: one logical column per reference, tiled over

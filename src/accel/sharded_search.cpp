@@ -240,6 +240,12 @@ std::uint64_t ShardedSearch::phases_executed() const noexcept {
   return total;
 }
 
+std::uint64_t ShardedSearch::noise_draws() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& s : shards_) total += s->noise_draws();
+  return total;
+}
+
 std::size_t ShardedSearch::extent_count() const noexcept {
   std::size_t total = 0;
   for (const auto& s : shards_) total += s->ref_view().extent_count();

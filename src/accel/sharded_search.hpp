@@ -82,6 +82,8 @@ class ShardedSearch {
   /// (each shard calibrates independently, so a ragged final shard could
   /// settle on different values; see phase_weighted_mean).
   [[nodiscard]] std::uint64_t phases_executed() const noexcept;
+  /// Keyed noise draws across shard engines (ImcSearchEngine::noise_draws).
+  [[nodiscard]] std::uint64_t noise_draws() const noexcept;
   [[nodiscard]] double phase_sigma() const noexcept;
   [[nodiscard]] double gain() const noexcept;
   /// Per-shard accounting, for tests and calibration audits.

@@ -684,6 +684,7 @@ struct QueryEngine::Impl {
           rescore_depth(r.gauge("engine.queue.rescore_depth")),
           emit_depth(r.gauge("engine.queue.emit_depth")),
           be_phases(r.gauge("backend.phases_executed")),
+          be_noise_draws(r.gauge("backend.noise_draws")),
           be_shard_entries(r.gauge("backend.shard_entries")),
           be_query_blocks(r.gauge("backend.query_blocks")),
           be_batched_queries(r.gauge("backend.batched_queries")),
@@ -711,6 +712,7 @@ struct QueryEngine::Impl {
     obs::Gauge& rescore_depth;
     obs::Gauge& emit_depth;
     obs::Gauge& be_phases;
+    obs::Gauge& be_noise_draws;
     obs::Gauge& be_shard_entries;
     obs::Gauge& be_query_blocks;
     obs::Gauge& be_batched_queries;
@@ -745,6 +747,7 @@ struct QueryEngine::Impl {
   void scrape_backend() const {
     const BackendStats s = pipeline.backend_->stats();
     obs->be_phases.set(static_cast<double>(s.phases_executed));
+    obs->be_noise_draws.set(static_cast<double>(s.noise_draws));
     obs->be_shard_entries.set(static_cast<double>(s.shard_entries));
     obs->be_query_blocks.set(static_cast<double>(s.query_blocks));
     obs->be_batched_queries.set(static_cast<double>(s.batched_queries));

@@ -22,6 +22,7 @@ BackendStats& BackendStats::operator+=(const BackendStats& other) {
   if (extent_count == 0) extent_count = other.extent_count;
   contiguous_refs = contiguous_refs || other.contiguous_refs;
   phases_executed += other.phases_executed;
+  noise_draws += other.noise_draws;
   shard_entries += other.shard_entries;
   query_blocks += other.query_blocks;
   batched_queries += other.batched_queries;
@@ -41,6 +42,7 @@ BackendStats BackendStats::since(const BackendStats& before) const {
   };
   BackendStats d = *this;
   d.phases_executed = delta(phases_executed, before.phases_executed);
+  d.noise_draws = delta(noise_draws, before.noise_draws);
   d.shard_entries = delta(shard_entries, before.shard_entries);
   d.query_blocks = delta(query_blocks, before.query_blocks);
   d.batched_queries = delta(batched_queries, before.batched_queries);
@@ -284,6 +286,7 @@ class ImcBackend final : public SearchBackend {
     s.backend = name_;
     s.references = engine_.reference_count();
     s.phases_executed = engine_.phases_executed();
+    s.noise_draws = engine_.noise_draws();
     s.phase_sigma = engine_.phase_sigma();
     s.gain = engine_.gain();
     if (engine_.config().fidelity != accel::Fidelity::kCircuit) {
@@ -339,6 +342,7 @@ class ShardedBackend final : public SearchBackend {
     s.references = sharded_.reference_count();
     s.shards = sharded_.shard_count();
     s.phases_executed = sharded_.phases_executed();
+    s.noise_draws = sharded_.noise_draws();
     s.phase_sigma = sharded_.phase_sigma();
     s.gain = sharded_.gain();
     s.shard_entries = sharded_.shard_entries();

@@ -7,9 +7,10 @@
 //   * Query           — one batched search request (hypervector + candidate
 //                       window + noise stream key).
 //   * BackendStats    — substrate-independent accounting (refs held, shard
-//                       count, activation phases executed, shard entries,
-//                       blocks served). The counters are exact (atomically
-//                       maintained, scheduling-independent), so a stats
+//                       count, activation phases executed, noise draws,
+//                       shard entries, blocks served). The counters are
+//                       exact (atomically maintained,
+//                       scheduling-independent), so a stats
 //                       snapshot can be fed straight into
 //                       accel::PerfModel::from_measured to turn a real run
 //                       into latency/energy numbers (accel/perf_model.hpp).
@@ -146,6 +147,12 @@ struct BackendStats {
                                       ///< fan-out path, per block batched.
   std::uint64_t query_blocks = 0;     ///< Blocks served by batched overrides.
   std::uint64_t batched_queries = 0;  ///< Queries inside those blocks.
+  /// Keyed MLC noise draws the simulation made (rram-statistical and
+  /// sharded; 0 for exact and circuit substrates). Below the swept pair
+  /// count because the sweep skips pairs that cannot enter the top-k
+  /// (hd::sweep_top_k's skip contract); phases_executed still counts
+  /// every pair's phases.
+  std::uint64_t noise_draws = 0;
   /// Popcount kernel tier the digital sweeps run on ("scalar" | "avx2" |
   /// "avx512"; hd/kernels.hpp dispatch). Empty for substrates that never
   /// touch the digital kernel.
@@ -207,9 +214,9 @@ struct BackendStats {
                      static_cast<double>(prefilter_audit_expected);
   }
 
-  /// Accumulates `other`'s exact counters into this (phases, shard
-  /// entries, blocks, batched queries, prefilter_*). Identity fields —
-  /// backend name, references, shards, sigma, gain, kernel,
+  /// Accumulates `other`'s exact counters into this (phases, noise
+  /// draws, shard entries, blocks, batched queries, prefilter_*). Identity
+  /// fields — backend name, references, shards, sigma, gain, kernel,
   /// contiguous_refs — are adopted from `other` when this snapshot is
   /// still default-constructed, and kept otherwise. Because the counters
   /// are exact and scheduling-independent, stage-serial per-window deltas

@@ -14,7 +14,10 @@
 // substrate supplies only a score epilogue: identity for exact HD
 // (top_k_search / top_k_search_batch), gain plus keyed MLC noise for the
 // statistical RRAM engine (accel/imc_search.hpp), which the sharded engine
-// reaches through its per-shard engines.
+// reaches through its per-shard engines. An epilogue with an expensive
+// score may add a ceiling (an upper bound on the pair's dot), and the core
+// then skips pairs that provably cannot enter the slot's top-k — exactly,
+// so no result changes.
 //
 // Kernel/dispatch seam: the word-level XOR-popcount work underneath lives
 // in hd/kernels.hpp — runtime-dispatched scalar / AVX2 / AVX-512-VPOPCNTDQ
@@ -41,7 +44,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "hd/kernels.hpp"
@@ -199,6 +204,14 @@ void for_each_extent_range(const RefView& view, std::size_t first,
 [[nodiscard]] std::vector<BatchQuery> clip_queries(
     std::span<const BatchQuery> queries, std::size_t n_refs);
 
+/// The absent score ceiling of sweep_top_k: bounds nothing, so every pair
+/// reaches the score epilogue (and the core compiles the skip test out).
+struct NoCeiling {
+  constexpr std::int64_t operator()(std::size_t, std::size_t) const noexcept {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+};
+
 /// The one sweep core every non-circuit substrate scores through: a
 /// reference-major, cache-blocked, tier-dispatched sweep of a query block
 /// over a piecewise view. For each (slot, global reference index) it
@@ -217,10 +230,28 @@ void for_each_extent_range(const RefView& view, std::size_t first,
 /// cache-resident while every active query is scored against it — the
 /// cache-level analogue of the crossbar's program-once-serve-the-block
 /// phase. The kernel tier is resolved once per call.
-template <typename Score>
+///
+/// Skip contract: an epilogue whose score is expensive (a noise draw) may
+/// also pass
+///
+///   std::int64_t ceiling(std::size_t slot, std::size_t ham)
+///
+/// an upper bound on score(slot, index, ham).dot for every index,
+/// non-increasing in ham. Once a slot holds k hits, the core skips the
+/// epilogue for every pair whose ceiling is at most the slot's k-th dot:
+/// insert_top_k would reject such a pair anyway, so the skip changes no
+/// hit, dot, similarity or tie-break. The core keeps this per slot as a
+/// Hamming cutoff, recomputed by binary search over [0, D] only when the
+/// slot's floor rises, so a skipped pair costs one integer compare. The
+/// skips depend only on the slot's own ascending candidate order, never
+/// on block composition or scheduling. Without a ceiling (NoCeiling, the
+/// default) every pair is scored and the loop carries no skip test.
+template <typename Score, typename Ceiling = NoCeiling>
 [[nodiscard]] std::vector<std::vector<SearchHit>> sweep_top_k(
     std::span<const BatchQuery> queries, const RefView& references,
-    std::size_t k, Score&& score) {
+    std::size_t k, Score&& score, Ceiling&& ceiling = {}) {
+  constexpr bool kBounded =
+      !std::is_same_v<std::remove_cvref_t<Ceiling>, NoCeiling>;
   std::vector<std::vector<SearchHit>> out(queries.size());
   if (k == 0 || queries.empty() || !references.valid()) return out;
 
@@ -233,6 +264,29 @@ template <typename Score>
   const kernels::Tier tier = kernels::active_tier();
   const std::size_t ref_dim = references.dim();
   std::vector<std::uint32_t> dist;  // per-chunk distances, reused
+
+  // Per slot: the k-th dot once the slot is full, and the smallest
+  // Hamming distance whose ceiling cannot beat it (pairs at or above it
+  // are skipped). ref_dim + 1 skips nothing.
+  std::vector<std::int64_t> floors;
+  std::vector<std::size_t> skip_from;
+  if constexpr (kBounded) {
+    floors.assign(clipped.size(), std::numeric_limits<std::int64_t>::min());
+    skip_from.assign(clipped.size(), ref_dim + 1);
+  }
+  const auto first_hopeless = [&](std::size_t slot, std::int64_t floor) {
+    std::size_t lo = 0;
+    std::size_t hi = ref_dim + 1;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (ceiling(slot, mid) <= floor) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  };
 
   for_each_query_segment(
       clipped, [&](std::size_t lo, std::size_t hi,
@@ -251,9 +305,24 @@ template <typename Score>
                 for (const std::size_t slot : active) {
                   kernels::hamming_sweep_tier(tier, qwords[slot], m, c0, c1,
                                               d);
-                  for (std::size_t j = 0; j < c1 - c0; ++j) {
-                    insert_top_k(out[slot],
-                                 score(slot, ext.base + c0 + j, d[j]), k);
+                  std::vector<SearchHit>& hits = out[slot];
+                  if constexpr (kBounded) {
+                    std::size_t limit = skip_from[slot];
+                    for (std::size_t j = 0; j < c1 - c0; ++j) {
+                      if (d[j] >= limit) continue;
+                      insert_top_k(hits,
+                                   score(slot, ext.base + c0 + j, d[j]), k);
+                      if (hits.size() == k && hits.back().dot > floors[slot]) {
+                        floors[slot] = hits.back().dot;
+                        limit = first_hopeless(slot, floors[slot]);
+                      }
+                    }
+                    skip_from[slot] = limit;
+                  } else {
+                    for (std::size_t j = 0; j < c1 - c0; ++j) {
+                      insert_top_k(hits,
+                                   score(slot, ext.base + c0 + j, d[j]), k);
+                    }
                   }
                 }
               }

@@ -11,19 +11,20 @@ namespace {
   throw std::runtime_error("segmented library " + path + ": " + what);
 }
 
-}  // namespace
+/// Attempts at opening a generation's segments before an open gives up on
+/// a manifest that keeps moving underneath it.
+constexpr int kOpenAttempts = 5;
 
-SegmentedLibrary SegmentedLibrary::open(const std::string& path,
+/// Opens and validates every segment `manifest` lists.
+std::vector<LibraryIndex> open_segments(const std::string& path,
+                                        const Manifest& manifest,
                                         const OpenOptions& opts) {
-  SegmentedLibrary lib;
-  lib.path_ = path;
-  lib.manifest_ = Manifest::load(path);
-  if (lib.manifest_.segments.empty()) fail(path, "manifest lists no segments");
-
+  if (manifest.segments.empty()) fail(path, "manifest lists no segments");
   const std::filesystem::path dir =
       std::filesystem::path(path).parent_path();
-  lib.segments_.reserve(lib.manifest_.segments.size());
-  for (const ManifestSegment& row : lib.manifest_.segments) {
+  std::vector<LibraryIndex> segments;
+  segments.reserve(manifest.segments.size());
+  for (const ManifestSegment& row : manifest.segments) {
     const std::string seg_path = (dir / row.name).string();
     LibraryIndex seg = LibraryIndex::open(seg_path, opts);
     if (!seg.has_entries()) {
@@ -31,7 +32,7 @@ SegmentedLibrary SegmentedLibrary::open(const std::string& path,
     }
     // The manifest row is the append-time identity of the segment; any
     // drift means the file was swapped or rewritten behind the manifest.
-    if (!(seg.fingerprint() == lib.manifest_.fingerprint)) {
+    if (!(seg.fingerprint() == manifest.fingerprint)) {
       fail(path, "segment " + row.name +
                      " was built under a different configuration than "
                      "the manifest records");
@@ -45,7 +46,32 @@ SegmentedLibrary SegmentedLibrary::open(const std::string& path,
     if (section_table_hash(seg.sections()) != row.table_checksum) {
       fail(path, "segment " + row.name + " section table drifted");
     }
-    lib.segments_.push_back(std::move(seg));
+    segments.push_back(std::move(seg));
+  }
+  return segments;
+}
+
+}  // namespace
+
+SegmentedLibrary SegmentedLibrary::open(const std::string& path,
+                                        const OpenOptions& opts) {
+  SegmentedLibrary lib;
+  lib.path_ = path;
+  lib.manifest_ = Manifest::load(path);
+  // An open can load generation G just as a compaction publishes G+1 and
+  // unlinks G's segments. A segment failure under a manifest that has
+  // since moved is that race: reopen against the newer generation
+  // (bounded). Under an unchanged manifest it is a real defect and throws.
+  for (int attempt = 1;; ++attempt) {
+    try {
+      lib.segments_ = open_segments(path, lib.manifest_, opts);
+      break;
+    } catch (const std::exception&) {
+      if (attempt == kOpenAttempts) throw;
+      Manifest current = Manifest::load(path);
+      if (current.combined_hash() == lib.manifest_.combined_hash()) throw;
+      lib.manifest_ = std::move(current);
+    }
   }
 
   // Merge the per-segment sorted mass axes into one global mass-sorted

@@ -60,7 +60,11 @@ class SegmentedLibrary {
   /// file sizes and section-table hashes must match the manifest rows
   /// (a swapped or rewritten segment fails loudly), and every segment
   /// must be a full-entries index. Throws std::runtime_error on any
-  /// violation; `opts` is forwarded to each segment open.
+  /// violation; `opts` is forwarded to each segment open. A segment that
+  /// fails while the manifest on disk has moved to a new generation (a
+  /// compaction unlinked it mid-open) is retried against that generation,
+  /// at most 5 attempts in all; an unchanged manifest naming a missing or
+  /// drifted segment throws on the first attempt.
   [[nodiscard]] static SegmentedLibrary open(const std::string& path,
                                              const OpenOptions& opts = {});
 

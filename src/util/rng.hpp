@@ -34,10 +34,19 @@ namespace oms::util {
   return mix64(seed ^ mix64(a ^ mix64(b)));
 }
 
+/// Bound on |counter_normal(seed, counter)| over every key. Box-Muller's
+/// radius sqrt(-2·ln u1) is largest at the smallest u1, and u1 below is at
+/// least (0 + 0.5)·2^-53 = 2^-54, so |z| ≤ sqrt(-2·ln 2^-54) =
+/// sqrt(108·ln 2) ≈ 8.6522 (|cos| ≤ 1). 8.66 leaves a margin far wider
+/// than the few-ulp error of the libm log/sqrt/cos. Callers use it to
+/// decide draws they can skip exactly: for σ ≥ 0, x + z·σ lies within
+/// x ± kCounterNormalBound·σ, and IEEE multiply and add are monotone.
+inline constexpr double kCounterNormalBound = 8.66;
+
 /// One standard-normal draw keyed by (seed, counter): deterministic,
 /// stateless, and safe to evaluate from any thread in any order. Used
 /// where simulation noise must not depend on scheduling (e.g. parallel
-/// statistical RRAM scoring).
+/// statistical RRAM scoring). |result| ≤ kCounterNormalBound.
 [[nodiscard]] inline double counter_normal(std::uint64_t seed,
                                            std::uint64_t counter) noexcept {
   const std::uint64_t h1 = mix64(seed ^ mix64(counter));
