@@ -112,12 +112,6 @@ int main(int argc, char** argv) {
     cfg.chunks = dim / 32;
     cfg.id_precision = oms::hd::IdPrecision::k3Bit;
     oms::hd::Encoder encoder(cfg);
-    std::vector<std::uint32_t> used;
-    for (const auto& s : ordered) used.insert(used.end(), s.bins.begin(), s.bins.end());
-    for (const auto& s : queries) used.insert(used.end(), s.bins.begin(), s.bins.end());
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    encoder.id_bank().ensure(used);
     const auto refs = encode_all(ordered, [&](auto b, auto w) {
       return encoder.encode(b, w);
     });

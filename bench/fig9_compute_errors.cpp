@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
       std::vector<std::vector<float>> weight_lists(spectra);
       for (std::size_t s = 0; s < spectra; ++s) {
         make_sparse(s * 13 + rows, rows, bin_lists[s], weight_lists[s]);
-        encoder.id_bank().ensure(bin_lists[s]);
       }
 
       oms::accel::ImcEncoderConfig icfg;

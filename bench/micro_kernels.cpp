@@ -95,7 +95,6 @@ void BM_Encode(benchmark::State& state) {
     bins.push_back(bin);
     weights.push_back(static_cast<float>(rng.uniform(0.05, 1.0)));
   }
-  encoder.id_bank().ensure(bins);
 
   for (auto _ : state) {
     benchmark::DoNotOptimize(encoder.encode(bins, weights));

@@ -32,6 +32,14 @@
 // repetition's hits against a per-pair oracle (bipolar_dot +
 // counter_normal + insert_top_k) — "oracle_identical" in the JSON.
 //
+// The "encoder" rows time hd::Encoder::encode single-threaded on every
+// kernel tier this CPU runs, at the paper's operating point (D = 8192,
+// 3-bit IDs, 256 LV chunks) over random 50-peak spectra: "cold" starts
+// from an empty ID bank (row generation included), "warm" re-encodes the
+// same spectra. Each row reports µs/query and whether every hypervector
+// matched an int32 per-component oracle built on IdBank::generate_row
+// ("oracle_identical"); a mismatch fails the run like the imc-engine rows.
+//
 // Besides the batched-vs-fanout table this bench measures intra-block
 // shard parallelism (sequential vs concurrent shard tasks inside each
 // sharded query block) and emits BENCH_sharded.json, including the
@@ -43,6 +51,7 @@
 // (min/max are tracked exactly, independent of the bucket ladder), so the
 // bench reports through the same instrument the engine exports live.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <string>
@@ -51,6 +60,8 @@
 #include "accel/imc_search.hpp"
 #include "accel/perf_model.hpp"
 #include "bench_common.hpp"
+#include "hd/encoder.hpp"
+#include "hd/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -124,7 +135,10 @@ struct Measurement {
   /// one pass — below 1 where the sweep skips pairs that cannot enter the
   /// top-k, 0 for the exact row.
   double draws_per_pair = 0.0;
-  /// Sweep/epilogue rows: every timed repetition matched the per-pair
+  /// Encoder rows only (0 elsewhere): single-threaded wall µs per encoded
+  /// spectrum.
+  double us_per_query = 0.0;
+  /// Sweep/epilogue and encoder rows: every timed repetition matched the
   /// oracle bit for bit.
   bool oracle_identical = true;
   BackendStats stats;
@@ -185,6 +199,43 @@ std::vector<std::vector<oms::hd::SearchHit>> oracle_scores(
   return out;
 }
 
+/// The encoder written out per component in int32, independently of the
+/// packed kernels: rows decoded by IdBank::generate_row, LV signs from
+/// LevelBank::expand, Sign() with the parity tie-break bit by bit.
+std::vector<oms::util::BitVec> encoder_oracle(
+    const oms::hd::EncoderConfig& cfg,
+    const std::vector<std::vector<std::uint32_t>>& bin_lists,
+    const std::vector<std::vector<float>>& weight_lists) {
+  const oms::hd::Encoder enc(cfg);
+  std::vector<oms::util::BitVec> levels;
+  for (std::uint32_t q = 0; q < cfg.levels; ++q) {
+    levels.push_back(enc.level_bank().expand(q));
+  }
+  std::vector<std::vector<std::int8_t>> rows(cfg.bins);
+  std::vector<oms::util::BitVec> out;
+  std::vector<std::int32_t> acc(cfg.dim);
+  for (std::size_t i = 0; i < bin_lists.size(); ++i) {
+    std::fill(acc.begin(), acc.end(), 0);
+    const std::vector<std::uint32_t> lv = enc.quantize_levels(weight_lists[i]);
+    for (std::size_t p = 0; p < bin_lists[i].size(); ++p) {
+      std::vector<std::int8_t>& row = rows[bin_lists[i][p]];
+      if (row.empty()) {
+        row.resize(cfg.dim);
+        enc.id_bank().generate_row(bin_lists[i][p], row);
+      }
+      for (std::uint32_t d = 0; d < cfg.dim; ++d) {
+        acc[d] += levels[lv[p]].get(d) ? row[d] : -row[d];
+      }
+    }
+    oms::util::BitVec hv(cfg.dim);
+    for (std::uint32_t d = 0; d < cfg.dim; ++d) {
+      if (acc[d] > 0 || (acc[d] == 0 && d % 2 == 1)) hv.set(d, true);
+    }
+    out.push_back(std::move(hv));
+  }
+  return out;
+}
+
 void write_json(const std::string& path,
                 const std::vector<Measurement>& results, std::size_t dim,
                 std::size_t k) {
@@ -211,6 +262,7 @@ void write_json(const std::string& path,
         << ", \"top1_recall\": " << m.top1_recall
         << ", \"ns_per_pair\": " << m.ns_per_pair
         << ", \"draws_per_pair\": " << m.draws_per_pair
+        << ", \"us_per_query\": " << m.us_per_query
         << ", \"oracle_identical\": "
         << (m.oracle_identical ? "true" : "false") << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
@@ -464,6 +516,75 @@ int main(int argc, char** argv) {
                     .c_str(),
                 etable.str().c_str(), ns[1] - ns[0],
                 ns[1] > 0 ? 100.0 * (ns[1] - ns[0]) / ns[1] : 0.0);
+  }
+
+  // --- ID-Level encoder (hd::Encoder) per kernel tier --------------------
+  {
+    const oms::hd::EncoderConfig ecfg;  // D = 8192, 3-bit, 256 chunks
+    const std::size_t n_spectra = std::max<std::size_t>(
+        500, static_cast<std::size_t>(2000.0 * scale));
+    std::vector<std::vector<std::uint32_t>> bin_lists(n_spectra);
+    std::vector<std::vector<float>> weight_lists(n_spectra);
+    oms::util::Xoshiro256 rng(4242);
+    for (std::size_t i = 0; i < n_spectra; ++i) {
+      for (int p = 0; p < 50; ++p) {
+        bin_lists[i].push_back(static_cast<std::uint32_t>(rng.below(ecfg.bins)));
+        weight_lists[i].push_back(static_cast<float>(rng.uniform(0.01, 1.0)));
+      }
+    }
+    const std::vector<oms::util::BitVec> want =
+        encoder_oracle(ecfg, bin_lists, weight_lists);
+
+    oms::util::Table ctable(
+        {"tier", "bank", "us/query", "queries/sec", "oracle identical"});
+    const oms::hd::kernels::Tier saved = oms::hd::kernels::active_tier();
+    for (const auto tier : {oms::hd::kernels::Tier::kScalar,
+                            oms::hd::kernels::Tier::kAvx2,
+                            oms::hd::kernels::Tier::kAvx512}) {
+      if (tier > oms::hd::kernels::best_supported()) continue;
+      oms::hd::kernels::set_active_tier(tier);
+      const std::string name(oms::hd::kernels::tier_name(
+          oms::hd::kernels::encoder_tier(tier)));
+      Measurement cold;
+      Measurement warm;
+      for (Measurement* m : {&cold, &warm}) {
+        m->backend = "encoder";
+        m->mode = m == &cold ? "cold" : "warm";
+        m->queries = n_spectra;
+        m->seconds = 1e300;
+        m->stats.kernel = name;
+      }
+      for (std::size_t rep = 0; rep < std::max<std::size_t>(1, reps); ++rep) {
+        const oms::hd::Encoder encoder(ecfg);  // empty bank every rep
+        for (Measurement* m : {&cold, &warm}) {
+          oms::obs::Histogram& h =
+              reg.histogram("bench.encoder." + name + "." + m->mode + "_seconds");
+          const auto t0 = std::chrono::steady_clock::now();
+          for (std::size_t i = 0; i < n_spectra; ++i) {
+            const oms::util::BitVec hv =
+                encoder.encode(bin_lists[i], weight_lists[i]);
+            m->oracle_identical = m->oracle_identical && hv == want[i];
+          }
+          const double secs = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+          h.observe(secs);
+          m->seconds = std::min(m->seconds, secs);
+        }
+      }
+      for (Measurement* m : {&cold, &warm}) {
+        m->queries_per_sec = static_cast<double>(n_spectra) / m->seconds;
+        m->us_per_query = m->seconds * 1e6 / static_cast<double>(n_spectra);
+        oracle_ok = oracle_ok && m->oracle_identical;
+        results.push_back(*m);
+        ctable.add_row({name, m->mode, oms::util::Table::fmt(m->us_per_query, 1),
+                        oms::util::Table::fmt(m->queries_per_sec, 1),
+                        m->oracle_identical ? "yes" : "NO"});
+      }
+    }
+    oms::hd::kernels::set_active_tier(saved);
+    std::printf("ID-Level encoder (1 thread, %zu spectra x 50 peaks, D=%u):\n%s\n",
+                n_spectra, ecfg.dim, ctable.str().c_str());
   }
 
   write_json(out_path, results, dim, k);

@@ -77,7 +77,6 @@ int main() {
     bins.push_back(bin);
     weights.push_back(static_cast<float>(rng.uniform(0.05, 1.0)));
   }
-  encoder.id_bank().ensure(bins);
 
   oms::accel::ImcEncoderConfig icfg;
   icfg.fidelity = oms::accel::Fidelity::kCircuit;

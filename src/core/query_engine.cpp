@@ -221,6 +221,7 @@ struct QueryEngine::Impl {
           to_search.push(std::move(*block));
           if (obs) {
             obs->search_depth.set(static_cast<double>(to_search.size()));
+            scrape_encoder();
           }
         } catch (...) {
           fail(std::current_exception());
@@ -474,17 +475,6 @@ struct QueryEngine::Impl {
     const std::size_t n = block.spectra.size();
     block.hvs.resize(n);
 
-    // Materialize the ID rows this block touches. ensure() is
-    // thread-safe, and rows another worker materialized are published by
-    // its internal lock.
-    std::vector<std::uint32_t> used;
-    for (const auto& s : block.spectra) {
-      used.insert(used.end(), s.bins.begin(), s.bins.end());
-    }
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    pipeline.encoder_.id_bank().ensure(used);
-
     if (imc_encode) {
       // Deterministic per (device, bucket, seed): block-wise calibration
       // fills the same sigma cache one whole-batch pass would.
@@ -690,6 +680,8 @@ struct QueryEngine::Impl {
           be_batched_queries(r.gauge("backend.batched_queries")),
           be_scanned_fraction(r.gauge("backend.scanned_fraction")),
           be_prefilter_recall(r.gauge("backend.prefilter_recall")),
+          enc_id_rows(r.gauge("encoder.id_rows")),
+          enc_id_bank_bytes(r.gauge("encoder.id_bank_bytes")),
           be_name(r.info("backend.name")),
           be_kernel(r.info("backend.kernel")) {}
     obs::Counter& submitted;
@@ -718,6 +710,8 @@ struct QueryEngine::Impl {
     obs::Gauge& be_batched_queries;
     obs::Gauge& be_scanned_fraction;
     obs::Gauge& be_prefilter_recall;
+    obs::Gauge& enc_id_rows;
+    obs::Gauge& enc_id_bank_bytes;
     obs::Info& be_name;
     obs::Info& be_kernel;
   };
@@ -753,6 +747,14 @@ struct QueryEngine::Impl {
     obs->be_batched_queries.set(static_cast<double>(s.batched_queries));
     obs->be_scanned_fraction.set(s.scanned_fraction());
     obs->be_prefilter_recall.set(s.prefilter_recall());
+  }
+
+  /// The query encoder's ID bank → `encoder.*` gauges (rows materialized
+  /// so far and the bytes they hold; the bank only grows).
+  void scrape_encoder() const {
+    const hd::IdBank& bank = pipeline.encoder_.id_bank();
+    obs->enc_id_rows.set(static_cast<double>(bank.materialized_count()));
+    obs->enc_id_bank_bytes.set(static_cast<double>(bank.resident_bytes()));
   }
 
   /// Admission-entry time by searched index, for the Rolling-path

@@ -136,7 +136,9 @@ struct QueryEngineConfig {
   /// and scrapes the backend's BackendStats into `backend.*` gauges after
   /// each searched block (set, not accumulated — the backend's counters
   /// are already monotonic totals, and concurrent blocks would make
-  /// deltas overlap). nullptr ⇒ zero instrumentation cost. The registry
+  /// deltas overlap), and the query encoder's ID bank into
+  /// `encoder.id_rows` / `encoder.id_bank_bytes` gauges after each
+  /// encoded block. nullptr ⇒ zero instrumentation cost. The registry
   /// must outlive the engine.
   obs::MetricsRegistry* metrics = nullptr;
   /// Per-query span tracer (see obs/trace.hpp). When set and enabled

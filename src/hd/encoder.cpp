@@ -26,6 +26,28 @@ std::vector<std::uint32_t> Encoder::quantize_levels(
   return out;
 }
 
+std::size_t Encoder::peaks_per_flush() const noexcept {
+  return static_cast<std::size_t>(32767 / max_magnitude(cfg_.id_precision));
+}
+
+void Encoder::accumulate16(std::span<const std::uint32_t> bins,
+                           std::span<const std::uint32_t> lvls,
+                           std::int16_t* acc, kernels::Tier tier) const {
+  // Chunked LV scheme: within one chunk all LV components share a sign, so
+  // the element-wise product adds or subtracts a contiguous ID segment
+  // (what Fig. 5c exploits in hardware). In the packed domain that is one
+  // XOR of the row with the level's flip words, decoded by the kernel.
+  std::vector<const std::uint64_t*> rows(bins.size());
+  std::vector<const std::uint64_t*> flips(bins.size());
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    rows[i] = ids_.fetch(bins[i]);
+    flips[i] = levels_.flip_words(lvls[i]).data();
+  }
+  kernels::id_level_accumulate_tier(tier, rows.data(), flips.data(),
+                                    bins.size(), ids_.component_lut().data(),
+                                    ids_.row_words(), acc);
+}
+
 void Encoder::accumulate(std::span<const std::uint32_t> bins,
                          std::span<const float> weights,
                          std::span<std::int32_t> acc) const {
@@ -36,62 +58,64 @@ void Encoder::accumulate(std::span<const std::uint32_t> bins,
     throw std::invalid_argument("Encoder::accumulate: bad accumulator size");
   }
   const std::vector<std::uint32_t> lvls = quantize_levels(weights);
-
-  for (std::size_t i = 0; i < bins.size(); ++i) {
-    const std::span<const std::int8_t> id = ids_.row(bins[i]);
-    // Chunked LV scheme: within one chunk all LV components share a sign,
-    // so the element-wise product reduces to adding or subtracting a
-    // contiguous ID segment (this is what Fig. 5c exploits in hardware).
-    // The bank pre-expands each level to a ±1 row, which keeps this inner
-    // loop a flat, vectorizable multiply-accumulate for any chunk width.
-    const std::span<const std::int8_t> lv = levels_.expanded_signs(lvls[i]);
-    const std::int8_t* idp = id.data();
-    const std::int8_t* lvp = lv.data();
-    std::int32_t* out = acc.data();
-    for (std::uint32_t d = 0; d < cfg_.dim; ++d) {
-      out[d] += static_cast<std::int32_t>(idp[d]) * lvp[d];
-    }
+  const kernels::Tier tier = kernels::active_tier();
+  // int16 partial sums, flushed into the int32 accumulator every
+  // peaks_per_flush() peaks so no partial can overflow.
+  std::vector<std::int16_t> part(cfg_.dim);
+  for (std::size_t lo = 0; lo < bins.size(); lo += peaks_per_flush()) {
+    const std::size_t n = std::min(peaks_per_flush(), bins.size() - lo);
+    std::fill(part.begin(), part.end(), std::int16_t{0});
+    accumulate16(bins.subspan(lo, n), std::span(lvls).subspan(lo, n),
+                 part.data(), tier);
+    for (std::uint32_t d = 0; d < cfg_.dim; ++d) acc[d] += part[d];
   }
 }
 
 util::BitVec Encoder::binarize(std::span<const std::int32_t> acc) {
   util::BitVec hv(acc.size());
-  for (std::size_t d = 0; d < acc.size(); ++d) {
-    const bool bit = acc[d] > 0 || (acc[d] == 0 && (d & 1) != 0);
-    if (bit) hv.set(d, true);
+  const std::span<std::uint64_t> words = hv.words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    // Ties break on parity: acc > 0 on even components, acc >= 0 on odd.
+    std::uint64_t bits = 0;
+    const std::size_t end = std::min(acc.size(), 64 * (w + 1));
+    for (std::size_t d = 64 * w; d < end; ++d) {
+      const auto threshold = -static_cast<std::int32_t>(d & 1);
+      bits |= static_cast<std::uint64_t>(acc[d] > threshold) << (d & 63);
+    }
+    words[w] = bits;
   }
   return hv;
 }
 
 util::BitVec Encoder::encode(std::span<const std::uint32_t> bins,
                              std::span<const float> weights) const {
-  std::vector<std::int32_t> acc(cfg_.dim, 0);
-  accumulate(bins, weights, acc);
-  return binarize(acc);
+  if (bins.size() != weights.size()) {
+    throw std::invalid_argument("Encoder::encode: size mismatch");
+  }
+  if (bins.size() > peaks_per_flush()) {
+    std::vector<std::int32_t> acc(cfg_.dim, 0);
+    accumulate(bins, weights, acc);
+    return binarize(acc);
+  }
+  const kernels::Tier tier = kernels::active_tier();
+  std::vector<std::int16_t> acc(cfg_.dim, 0);
+  accumulate16(bins, quantize_levels(weights), acc.data(), tier);
+  util::BitVec hv(cfg_.dim);
+  kernels::binarize_tier(tier, acc.data(), cfg_.dim, hv.words().data());
+  return hv;
 }
 
 std::vector<util::BitVec> Encoder::encode_batch(
     std::span<const std::vector<std::uint32_t>> bin_lists,
-    std::span<const std::vector<float>> weight_lists) {
+    std::span<const std::vector<float>> weight_lists) const {
   if (bin_lists.size() != weight_lists.size()) {
     throw std::invalid_argument("Encoder::encode_batch: size mismatch");
   }
-  // Materialize every ID row used anywhere before the parallel region; the
-  // bank is then read-only and safe to share.
-  std::vector<std::uint32_t> used;
-  for (const auto& bl : bin_lists) used.insert(used.end(), bl.begin(), bl.end());
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
-  ids_.ensure(used);
-
   std::vector<util::BitVec> out(bin_lists.size());
   util::ThreadPool::global().parallel_for(
       0, bin_lists.size(), [&](std::size_t lo, std::size_t hi) {
-        std::vector<std::int32_t> acc(cfg_.dim);
         for (std::size_t i = lo; i < hi; ++i) {
-          std::fill(acc.begin(), acc.end(), 0);
-          accumulate(bin_lists[i], weight_lists[i], acc);
-          out[i] = binarize(acc);
+          out[i] = encode(bin_lists[i], weight_lists[i]);
         }
       });
   return out;

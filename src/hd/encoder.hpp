@@ -7,6 +7,17 @@
 // level hypervector LV_i (selected by the peak's quantized intensity), the
 // products are accumulated per dimension, and the result is binarized.
 //
+// With chunked LVs each product ID_i ⊗ LV_i is ID_i with the sign of each
+// LV chunk applied to the chunk's slice (§4.2.1, Fig. 5c). The encoder
+// applies it to the packed ID row (one XOR with the level's flip words,
+// see hd/level_bank.hpp), decodes and sums the products in int16 lanes
+// through the tier-dispatched kernels of hd/kernels.hpp, and binarizes a
+// word at a time. int16 is exact while peaks × max|ID| ≤ 32767 (4681
+// peaks at 3-bit precision); longer peak lists flush into int32 every
+// peaks_per_flush() peaks. ID rows are fetched on demand from the
+// lock-free bank, so encode() and accumulate() may run from any number
+// of threads on one shared Encoder with no prewarm.
+//
 // The encoder is deliberately independent of the mass-spectrometry types:
 // it consumes parallel (bin, weight) spans, so any sparse non-negative
 // feature vector can be encoded.
@@ -17,6 +28,7 @@
 #include <vector>
 
 #include "hd/id_bank.hpp"
+#include "hd/kernels.hpp"
 #include "hd/level_bank.hpp"
 #include "util/bitvec.hpp"
 #include "util/thread_pool.hpp"
@@ -68,9 +80,9 @@ class Encoder {
   [[nodiscard]] std::vector<std::uint32_t> quantize_levels(
       std::span<const float> weights) const;
 
-  /// Accumulates Σ ID_i ⊗ LV_i into `acc` (size dim, zero-initialized by
-  /// the caller). Exposed separately because the in-memory encoder needs
-  /// the pre-binarization MAC values to model analog errors.
+  /// Adds Σ ID_i ⊗ LV_i into `acc` (size dim, zero-initialized by the
+  /// caller). Exposed separately because the in-memory encoder needs the
+  /// pre-binarization MAC values to model analog errors.
   void accumulate(std::span<const std::uint32_t> bins,
                   std::span<const float> weights,
                   std::span<std::int32_t> acc) const;
@@ -83,13 +95,21 @@ class Encoder {
   /// are parallel arrays of sparse vectors.
   [[nodiscard]] std::vector<util::BitVec> encode_batch(
       std::span<const std::vector<std::uint32_t>> bin_lists,
-      std::span<const std::vector<float>> weight_lists);
+      std::span<const std::vector<float>> weight_lists) const;
 
   /// Sign() binarization with a deterministic tie-break on zero (component
   /// parity), so encodings are reproducible bit-for-bit.
   [[nodiscard]] static util::BitVec binarize(std::span<const std::int32_t> acc);
 
  private:
+  /// Peaks whose products int16 lanes sum exactly: 32767 / max|ID|.
+  [[nodiscard]] std::size_t peaks_per_flush() const noexcept;
+  /// Adds the products of (bins, level indices) into int16 `acc`; at most
+  /// peaks_per_flush() peaks.
+  void accumulate16(std::span<const std::uint32_t> bins,
+                    std::span<const std::uint32_t> lvls, std::int16_t* acc,
+                    kernels::Tier tier) const;
+
   EncoderConfig cfg_;
   IdBank ids_;
   LevelBank levels_;

@@ -17,6 +17,10 @@
 // set_active_tier() can clamp it down — benches use this to measure every
 // tier, tests to prove bit-identity across all of them.
 //
+// The ID-Level encoder's accumulate and binarize kernels (declared at the
+// end of this header, defined in hd/encode_kernels.cpp) dispatch through
+// the same tiers and the same active-tier clamp.
+//
 // RefMatrix is the contiguous reference-major view the sweeps run over: a
 // raw word pointer + row stride into a hypervector block (the mmap'd
 // index::LibraryIndex word block is laid out exactly like this, 64-byte
@@ -201,6 +205,29 @@ void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
 /// reference rows (~chunk * row_words * 8 bytes) stays L2-resident while
 /// every query of a block is scored against it.
 [[nodiscard]] std::size_t sweep_chunk_rows(std::size_t row_words) noexcept;
+
+// --- ID-Level encoder kernels (hd::Encoder's hot path) ----------------------
+// The same three tiers, bit-identical by contract. The AVX-512 encoder
+// path also needs AVX-512BW (16-bit lanes, byte shuffles); on a CPU whose
+// kAvx512 popcount tier lacks it, the encoder runs its AVX2 path instead.
+
+/// The tier the encoder kernels actually run for a requested tier.
+[[nodiscard]] Tier encoder_tier(Tier tier) noexcept;
+
+/// Adds n packed ID rows into int16 accumulators: for each peak p,
+/// component d of rows[p] XOR flips[p] (nibble d % 16 of word d / 16, see
+/// hd/id_bank.hpp) decodes through lut[16] and is added to acc[d], for d
+/// in [0, 16 * words). Exact only while n · max|lut| ≤ 32767 — the caller
+/// splits larger peak lists.
+void id_level_accumulate_tier(Tier tier, const std::uint64_t* const* rows,
+                              const std::uint64_t* const* flips,
+                              std::size_t n, const std::int8_t* lut,
+                              std::size_t words, std::int16_t* acc) noexcept;
+
+/// Sign() binarization of dim int16 accumulators into ceil(dim / 64)
+/// words: bit d is acc[d] > 0, ties (acc[d] == 0) resolved to d's parity.
+void binarize_tier(Tier tier, const std::int16_t* acc, std::size_t dim,
+                   std::uint64_t* out) noexcept;
 
 }  // namespace kernels
 }  // namespace oms::hd

@@ -48,14 +48,18 @@ LevelBank::LevelBank(std::uint32_t levels, std::uint32_t dim,
     }
   }
 
-  // Materialize the ±1 expansion once; the encoder reads it per peak.
+  // Pack each level's -1 components into nibble flip masks once; the
+  // encoder reads them per peak.
   const std::uint32_t width = chunk_width();
-  expanded_.resize(static_cast<std::size_t>(levels_) * dim_);
+  flips_.assign(static_cast<std::size_t>(levels_) * flip_stride(), 0);
   for (std::uint32_t q = 0; q < levels_; ++q) {
-    std::int8_t* row = &expanded_[static_cast<std::size_t>(q) * dim_];
+    std::uint64_t* words =
+        &flips_[static_cast<std::size_t>(q) * flip_stride()];
     for (std::uint32_t c = 0; c < chunks_; ++c) {
-      const std::int8_t s = signs_[q * chunks_ + c] ? 1 : -1;
-      std::fill_n(row + static_cast<std::size_t>(c) * width, width, s);
+      if (signs_[q * chunks_ + c]) continue;
+      for (std::uint32_t d = c * width; d < (c + 1) * width; ++d) {
+        words[d / 16] |= 1ULL << (d % 16 * 4);
+      }
     }
   }
 }

@@ -38,11 +38,16 @@ class LevelBank {
     return signs_[q * chunks_ + c] ? +1 : -1;
   }
 
-  /// Contiguous ±1 int8 view of level q's full hypervector (length dim).
-  /// Materialized once at construction; this is the encoder's hot path.
-  [[nodiscard]] std::span<const std::int8_t> expanded_signs(
+  /// Level q's signs in the ID bank's packed layout (hd/id_bank.hpp): one
+  /// word per 16 components, nibble k of word w is 1 where component
+  /// 16w + k of l_q is -1 and 0 where it is +1. XORed into a packed ID
+  /// row, it applies each chunk's sign to the chunk's slice of the row, so
+  /// the row then decodes to ID ⊗ LV directly. Built once at construction;
+  /// this is the encoder's hot path.
+  [[nodiscard]] std::span<const std::uint64_t> flip_words(
       std::uint32_t q) const {
-    return {&expanded_[static_cast<std::size_t>(q) * dim_], dim_};
+    return {&flips_[static_cast<std::size_t>(q) * flip_stride()],
+            flip_stride()};
   }
 
   /// Full bipolar hypervector for level q, expanded to D components.
@@ -62,8 +67,11 @@ class LevelBank {
   std::uint32_t chunks_;
   /// signs_[q * chunks_ + c] = 1 if chunk c of level q is +1.
   std::vector<std::uint8_t> signs_;
-  /// Per-level ±1 expansion over all dim components (levels_ × dim_).
-  std::vector<std::int8_t> expanded_;
+  [[nodiscard]] std::size_t flip_stride() const noexcept {
+    return (dim_ + 15) / 16;
+  }
+  /// Per-level packed sign-flip words (levels_ × flip_stride()).
+  std::vector<std::uint64_t> flips_;
 };
 
 }  // namespace oms::hd
