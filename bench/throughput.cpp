@@ -40,6 +40,13 @@
 // matched an int32 per-component oracle built on IdBank::generate_row
 // ("oracle_identical"); a mismatch fails the run like the imc-engine rows.
 //
+// The "imc-encoder" rows time accel::ImcEncoder::encode_keyed (the
+// statistical IMC query encoder) single-threaded on every tier at the same
+// operating point: µs/query, noise draws per query (the components the
+// bounds of accel/imc_decide.hpp left undecided), and identity with an
+// oracle that draws counter_normal for every component, checked on every
+// timed repetition. A mismatch fails the run.
+//
 // Besides the batched-vs-fanout table this bench measures intra-block
 // shard parallelism (sequential vs concurrent shard tasks inside each
 // sharded query block) and emits BENCH_sharded.json, including the
@@ -57,6 +64,8 @@
 #include <string>
 #include <vector>
 
+#include "accel/imc_decide.hpp"
+#include "accel/imc_encoder.hpp"
 #include "accel/imc_search.hpp"
 #include "accel/perf_model.hpp"
 #include "bench_common.hpp"
@@ -138,6 +147,9 @@ struct Measurement {
   /// Encoder rows only (0 elsewhere): single-threaded wall µs per encoded
   /// spectrum.
   double us_per_query = 0.0;
+  /// IMC encoder rows only (0 elsewhere): noise draws per encoded spectrum
+  /// — the components the bounds left undecided.
+  double draws_per_query = 0.0;
   /// Sweep/epilogue and encoder rows: every timed repetition matched the
   /// oracle bit for bit.
   bool oracle_identical = true;
@@ -236,6 +248,35 @@ std::vector<oms::util::BitVec> encoder_oracle(
   return out;
 }
 
+/// The keyed IMC encoder written out per component: the exact accumulator
+/// plus one counter_normal draw for every dimension, binarized at > 0 —
+/// no bounds, no skipped draws.
+std::vector<oms::util::BitVec> imc_encoder_oracle(
+    const oms::hd::Encoder& encoder, const oms::accel::ImcEncoder& imc,
+    const std::vector<std::vector<std::uint32_t>>& bin_lists,
+    const std::vector<std::vector<float>>& weight_lists) {
+  const std::uint32_t dim = encoder.config().dim;
+  std::vector<oms::util::BitVec> out;
+  std::vector<std::int32_t> acc(dim);
+  for (std::size_t i = 0; i < bin_lists.size(); ++i) {
+    std::fill(acc.begin(), acc.end(), 0);
+    encoder.accumulate(bin_lists[i], weight_lists[i], acc);
+    const double sigma = imc.accumulator_sigma(bin_lists[i].size());
+    const std::uint64_t key =
+        oms::util::hash_combine(imc.config().seed, i, 0xE2C0ULL);
+    oms::util::BitVec hv(dim);
+    for (std::uint32_t d = 0; d < dim; ++d) {
+      if (static_cast<double>(acc[d]) +
+              sigma * oms::util::counter_normal(key, d) >
+          0.0) {
+        hv.set(d, true);
+      }
+    }
+    out.push_back(std::move(hv));
+  }
+  return out;
+}
+
 void write_json(const std::string& path,
                 const std::vector<Measurement>& results, std::size_t dim,
                 std::size_t k) {
@@ -263,6 +304,7 @@ void write_json(const std::string& path,
         << ", \"ns_per_pair\": " << m.ns_per_pair
         << ", \"draws_per_pair\": " << m.draws_per_pair
         << ", \"us_per_query\": " << m.us_per_query
+        << ", \"draws_per_query\": " << m.draws_per_query
         << ", \"oracle_identical\": "
         << (m.oracle_identical ? "true" : "false") << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
@@ -518,13 +560,13 @@ int main(int argc, char** argv) {
                 ns[1] > 0 ? 100.0 * (ns[1] - ns[0]) / ns[1] : 0.0);
   }
 
-  // --- ID-Level encoder (hd::Encoder) per kernel tier --------------------
+  // Both query encoders are timed on the same random 50-peak spectra.
+  const oms::hd::EncoderConfig ecfg;  // D = 8192, 3-bit, 256 chunks
+  const std::size_t n_spectra = std::max<std::size_t>(
+      500, static_cast<std::size_t>(2000.0 * scale));
+  std::vector<std::vector<std::uint32_t>> bin_lists(n_spectra);
+  std::vector<std::vector<float>> weight_lists(n_spectra);
   {
-    const oms::hd::EncoderConfig ecfg;  // D = 8192, 3-bit, 256 chunks
-    const std::size_t n_spectra = std::max<std::size_t>(
-        500, static_cast<std::size_t>(2000.0 * scale));
-    std::vector<std::vector<std::uint32_t>> bin_lists(n_spectra);
-    std::vector<std::vector<float>> weight_lists(n_spectra);
     oms::util::Xoshiro256 rng(4242);
     for (std::size_t i = 0; i < n_spectra; ++i) {
       for (int p = 0; p < 50; ++p) {
@@ -532,6 +574,10 @@ int main(int argc, char** argv) {
         weight_lists[i].push_back(static_cast<float>(rng.uniform(0.01, 1.0)));
       }
     }
+  }
+
+  // --- ID-Level encoder (hd::Encoder) per kernel tier --------------------
+  {
     const std::vector<oms::util::BitVec> want =
         encoder_oracle(ecfg, bin_lists, weight_lists);
 
@@ -585,6 +631,58 @@ int main(int argc, char** argv) {
     oms::hd::kernels::set_active_tier(saved);
     std::printf("ID-Level encoder (1 thread, %zu spectra x 50 peaks, D=%u):\n%s\n",
                 n_spectra, ecfg.dim, ctable.str().c_str());
+  }
+
+  // --- IMC query encoder (accel::ImcEncoder::encode_keyed) per tier ------
+  {
+    const oms::hd::Encoder encoder(ecfg);
+    oms::accel::ImcEncoder imc(encoder, oms::accel::ImcEncoderConfig{});
+    imc.precalibrate(bin_lists);
+    const std::vector<oms::util::BitVec> want =
+        imc_encoder_oracle(encoder, imc, bin_lists, weight_lists);
+
+    oms::util::Table itable(
+        {"tier", "us/query", "draws/query", "queries/sec", "oracle identical"});
+    const oms::hd::kernels::Tier saved = oms::hd::kernels::active_tier();
+    for (const auto tier : {oms::hd::kernels::Tier::kScalar,
+                            oms::hd::kernels::Tier::kAvx2,
+                            oms::hd::kernels::Tier::kAvx512}) {
+      if (tier > oms::hd::kernels::best_supported()) continue;
+      oms::hd::kernels::set_active_tier(tier);
+      Measurement m;
+      m.backend = "imc-encoder";
+      m.mode = "keyed";
+      m.queries = n_spectra;
+      m.stats.kernel =
+          oms::hd::kernels::tier_name(oms::accel::decide_tier(tier));
+      const std::uint64_t draws0 = imc.noise_draws();
+      m.seconds = best_of(
+          reg, "bench.imc_encoder." + m.stats.kernel + "_seconds", reps,
+          [&] {
+            for (std::size_t i = 0; i < n_spectra; ++i) {
+              const oms::util::BitVec hv =
+                  imc.encode_keyed(bin_lists[i], weight_lists[i], i);
+              m.oracle_identical = m.oracle_identical && hv == want[i];
+            }
+          },
+          [&] {
+            m.draws_per_query =
+                static_cast<double>(imc.noise_draws() - draws0) /
+                static_cast<double>(n_spectra);
+          });
+      m.queries_per_sec = static_cast<double>(n_spectra) / m.seconds;
+      m.us_per_query = m.seconds * 1e6 / static_cast<double>(n_spectra);
+      oracle_ok = oracle_ok && m.oracle_identical;
+      results.push_back(m);
+      itable.add_row({m.stats.kernel, oms::util::Table::fmt(m.us_per_query, 1),
+                      oms::util::Table::fmt(m.draws_per_query, 1),
+                      oms::util::Table::fmt(m.queries_per_sec, 1),
+                      m.oracle_identical ? "yes" : "NO"});
+    }
+    oms::hd::kernels::set_active_tier(saved);
+    std::printf("IMC query encoder (1 thread, %zu spectra x 50 peaks, D=%u, "
+                "%u components each):\n%s\n",
+                n_spectra, ecfg.dim, ecfg.dim, itable.str().c_str());
   }
 
   write_json(out_path, results, dim, k);

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <stdexcept>
 
+#include "accel/imc_decide.hpp"
 #include "rram/chip.hpp"
 
 namespace oms::accel {
@@ -80,6 +82,12 @@ double ImcEncoder::sigma_for_const(std::size_t n_rows) const {
   return it->second;
 }
 
+double ImcEncoder::accumulator_sigma(std::size_t peaks) const {
+  return sigma_for_const(peaks) *
+         std::sqrt(static_cast<double>(peaks) *
+                   mean_square_magnitude(encoder_.config().id_precision));
+}
+
 void ImcEncoder::precalibrate(
     std::span<const std::vector<std::uint32_t>> bin_lists) {
   if (cfg_.fidelity != Fidelity::kStatistical) return;
@@ -131,27 +139,27 @@ util::BitVec ImcEncoder::encode_keyed(std::span<const std::uint32_t> bins,
   std::vector<std::int32_t> acc(cfg.dim, 0);
   encoder_.accumulate(bins, weights, acc);
 
-  const double sigma_acc =
-      sigma_for_const(bins.size()) *
-      std::sqrt(static_cast<double>(bins.size()) *
-                mean_square_magnitude(cfg.id_precision));
+  const double sigma_acc = accumulator_sigma(bins.size());
   const std::uint64_t key = util::hash_combine(cfg_.seed, stream, 0xE2C0ULL);
-  // |sigma_acc·z| ≤ margin, and IEEE add is monotone, so a component with
-  // fl(acc − margin) > 0 is set and one with fl(acc + margin) ≤ 0 is
-  // clear whatever the draw — bit-identical to drawing for every
-  // dimension. Only components within the margin of zero draw.
-  const double margin = sigma_acc * util::kCounterNormalBound;
-
+  // Component d is set iff fl(acc[d] + sigma_acc·z) > 0 with z =
+  // counter_normal(key, d). The decision kernel settles that from bounds
+  // on z wherever it can; the rest draw here, in code built without any
+  // target() attribute, so the expression rounds exactly as it always has.
   util::BitVec hv(cfg.dim);
-  for (std::size_t d = 0; d < cfg.dim; ++d) {
-    const double a = static_cast<double>(acc[d]);
-    if (a - margin > 0.0) {
-      hv.set(d, true);
-    } else if (a + margin > 0.0 &&
-               a + sigma_acc * util::counter_normal(key, d) > 0.0) {
+  const auto undecided =
+      std::make_unique_for_overwrite<std::uint32_t[]>(cfg.dim);
+  const std::size_t draws = decide_noisy_signs_tier(
+      hd::kernels::active_tier(), acc, sigma_acc, key, hv.words(),
+      std::span(undecided.get(), cfg.dim));
+  for (std::size_t i = 0; i < draws; ++i) {
+    const std::uint32_t d = undecided[i];
+    if (static_cast<double>(acc[d]) +
+            sigma_acc * util::counter_normal(key, d) >
+        0.0) {
       hv.set(d, true);
     }
   }
+  noise_draws_.fetch_add(draws, std::memory_order_relaxed);
   return hv;
 }
 

@@ -9,6 +9,7 @@
 // accumulator with the calibrated per-MAC sigma before binarization.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -48,10 +49,25 @@ class ImcEncoder {
 
   /// Thread-safe statistical encode with noise keyed on (seed, stream):
   /// reproducible regardless of thread scheduling. Requires precalibrate()
-  /// to have covered this spectrum's peak-count bucket.
+  /// to have covered this spectrum's peak-count bucket. Bit-identical to
+  /// drawing util::counter_normal for every component; only the components
+  /// accel/imc_decide.hpp cannot decide from bounds are actually drawn.
   [[nodiscard]] util::BitVec encode_keyed(std::span<const std::uint32_t> bins,
                                           std::span<const float> weights,
                                           std::uint64_t stream) const;
+
+  /// The keyed encoder's noise scale for a spectrum of `peaks` peaks, in
+  /// accumulator units: the bucket's normalized sigma times the MAC's
+  /// signal spread sqrt(peaks · E[m²]). Requires precalibrate() to have
+  /// covered the bucket.
+  [[nodiscard]] double accumulator_sigma(std::size_t peaks) const;
+
+  /// Noise draws encode_keyed has made so far: the components the bounds
+  /// left undecided. Exact and scheduling-independent (each query's draws
+  /// depend only on its own accumulator and key).
+  [[nodiscard]] std::uint64_t noise_draws() const noexcept {
+    return noise_draws_.load(std::memory_order_relaxed);
+  }
 
   /// Calibrates and caches the MAC sigma for every peak-count bucket in
   /// the batch (statistical mode; no-op otherwise). Calibration is
@@ -87,6 +103,7 @@ class ImcEncoder {
   util::Xoshiro256 rng_;
   mutable std::mutex sigma_mutex_;  ///< Guards sigma_cache_.
   std::map<std::size_t, double> sigma_cache_;
+  mutable std::atomic<std::uint64_t> noise_draws_{0};
 };
 
 }  // namespace oms::accel

@@ -211,12 +211,22 @@ struct QueryEngine::Impl {
             }
           }
           encode_block(*block);
+          Clock::time_point t1{};
+          if (timing_on()) t1 = Clock::now();
           build_searches(*block);
           if (timing_on()) {
-            const double enc = seconds_between(t0, Clock::now());
-            if (obs) obs->encode_s.observe(enc);
-            if (tracing_on()) trace_block(*block, obs::Stage::kEncode, enc);
-            block->stamp = Clock::now();
+            const Clock::time_point t2 = Clock::now();
+            // Encoding and precursor-window lookup get their own
+            // histograms; the trace's encode span keeps covering both.
+            if (obs) {
+              obs->encode_s.observe(seconds_between(t0, t1));
+              obs->window_s.observe(seconds_between(t1, t2));
+            }
+            if (tracing_on()) {
+              trace_block(*block, obs::Stage::kEncode,
+                          seconds_between(t0, t2));
+            }
+            block->stamp = t2;
           }
           to_search.push(std::move(*block));
           if (obs) {
@@ -663,6 +673,7 @@ struct QueryEngine::Impl {
           admission_wait_s(r.histogram("engine.stage.admission_wait_seconds")),
           preprocess_s(r.histogram("engine.stage.preprocess_seconds")),
           encode_s(r.histogram("engine.stage.encode_seconds")),
+          window_s(r.histogram("engine.stage.window_seconds")),
           queue_wait_s(r.histogram("engine.stage.queue_wait_seconds")),
           search_s(r.histogram("engine.stage.search_seconds")),
           gate_wait_s(r.histogram("engine.stage.gate_wait_seconds")),
@@ -681,6 +692,7 @@ struct QueryEngine::Impl {
           be_scanned_fraction(r.gauge("backend.scanned_fraction")),
           be_prefilter_recall(r.gauge("backend.prefilter_recall")),
           enc_id_rows(r.gauge("encoder.id_rows")),
+          enc_noise_draws(r.gauge("encoder.noise_draws")),
           enc_id_bank_bytes(r.gauge("encoder.id_bank_bytes")),
           be_name(r.info("backend.name")),
           be_kernel(r.info("backend.kernel")) {}
@@ -693,6 +705,7 @@ struct QueryEngine::Impl {
     obs::Histogram& admission_wait_s;
     obs::Histogram& preprocess_s;
     obs::Histogram& encode_s;
+    obs::Histogram& window_s;
     obs::Histogram& queue_wait_s;
     obs::Histogram& search_s;
     obs::Histogram& gate_wait_s;
@@ -711,6 +724,7 @@ struct QueryEngine::Impl {
     obs::Gauge& be_scanned_fraction;
     obs::Gauge& be_prefilter_recall;
     obs::Gauge& enc_id_rows;
+    obs::Gauge& enc_noise_draws;
     obs::Gauge& enc_id_bank_bytes;
     obs::Info& be_name;
     obs::Info& be_kernel;
@@ -749,12 +763,17 @@ struct QueryEngine::Impl {
     obs->be_prefilter_recall.set(s.prefilter_recall());
   }
 
-  /// The query encoder's ID bank → `encoder.*` gauges (rows materialized
-  /// so far and the bytes they hold; the bank only grows).
+  /// The query encoder → `encoder.*` gauges: ID-bank rows materialized so
+  /// far and the bytes they hold (the bank only grows), and the IMC
+  /// encoder's noise draws (a process total, like `backend.noise_draws`).
   void scrape_encoder() const {
     const hd::IdBank& bank = pipeline.encoder_.id_bank();
     obs->enc_id_rows.set(static_cast<double>(bank.materialized_count()));
     obs->enc_id_bank_bytes.set(static_cast<double>(bank.resident_bytes()));
+    if (imc_encode) {
+      obs->enc_noise_draws.set(
+          static_cast<double>(pipeline.imc_encoder_->noise_draws()));
+    }
   }
 
   /// Admission-entry time by searched index, for the Rolling-path

@@ -130,15 +130,18 @@ struct QueryEngineConfig {
   /// Observability sink (see obs/metrics.hpp). When set, the engine
   /// records `engine.*` counters (submitted / dropped_preprocess /
   /// empty_window / psms_emitted / blocks), per-stage latency histograms
-  /// (`engine.stage.*_seconds`, block-granular for the block stages),
+  /// (`engine.stage.*_seconds`, block-granular for the block stages;
+  /// `encode_seconds` times the query encoder alone and `window_seconds`
+  /// the precursor-window lookup that follows it),
   /// bounded-queue depth gauges (`engine.queue.*_depth`), per-PSM
   /// emission-latency (`engine.emit_latency_seconds`, admission → release),
   /// and scrapes the backend's BackendStats into `backend.*` gauges after
   /// each searched block (set, not accumulated — the backend's counters
   /// are already monotonic totals, and concurrent blocks would make
   /// deltas overlap), and the query encoder's ID bank into
-  /// `encoder.id_rows` / `encoder.id_bank_bytes` gauges after each
-  /// encoded block. nullptr ⇒ zero instrumentation cost. The registry
+  /// `encoder.id_rows` / `encoder.id_bank_bytes` gauges (plus the IMC
+  /// encoder's `encoder.noise_draws` when the backend encodes in memory)
+  /// after each encoded block. nullptr ⇒ zero instrumentation cost. The registry
   /// must outlive the engine.
   obs::MetricsRegistry* metrics = nullptr;
   /// Per-query span tracer (see obs/trace.hpp). When set and enabled

@@ -43,18 +43,59 @@ namespace oms::util {
 /// x ± kCounterNormalBound·σ, and IEEE multiply and add are monotone.
 inline constexpr double kCounterNormalBound = 8.66;
 
+// counter_normal is Box-Muller over two counter hashes, z = r·cos(θ) with
+// r = sqrt(-2·ln u1) and θ = 2π·u2. The steps are exposed one by one so
+// code that decides a draw's effect without making it (the IMC encoder's
+// noise bounds, accel/imc_decide.hpp) reads the very doubles the draw
+// would form.
+
+/// The two hashes behind counter_normal(seed, counter).
+struct CounterNormalHashes {
+  std::uint64_t h1;  ///< Feeds u1, the radius.
+  std::uint64_t h2;  ///< Feeds u2, the angle.
+};
+
+[[nodiscard]] constexpr CounterNormalHashes counter_normal_hashes(
+    std::uint64_t seed, std::uint64_t counter) noexcept {
+  const std::uint64_t h1 = mix64(seed ^ mix64(counter));
+  return {h1, mix64(h1 ^ 0xd1b54a32d192ed03ULL)};
+}
+
+/// u1 in (0, 1]. (h1 >> 11) + 0.5 is exact below 2^52 and rounds to even
+/// above, so h1 >> 11 = 2^53 − 1 gives exactly 1.0, and r = 0.
+[[nodiscard]] constexpr double counter_normal_u1(std::uint64_t h1) noexcept {
+  return (static_cast<double>(h1 >> 11) + 0.5) * 0x1.0p-53;
+}
+
+/// u2 in [0, 1), exact: (h2 >> 11) · 2^-53.
+[[nodiscard]] constexpr double counter_normal_u2(std::uint64_t h2) noexcept {
+  return static_cast<double>(h2 >> 11) * 0x1.0p-53;
+}
+
+[[nodiscard]] inline double counter_normal_radius(double u1) noexcept {
+  return __builtin_sqrt(-2.0 * __builtin_log(u1));
+}
+
+/// θ = fl(2π·u2), with 2π rounded to the nearest double (just below 2π).
+[[nodiscard]] constexpr double counter_normal_angle(double u2) noexcept {
+  return 6.283185307179586 * u2;
+}
+
+/// The draw from its two hashes: counter_normal(seed, c) ==
+/// counter_normal_from(counter_normal_hashes(seed, c)).
+[[nodiscard]] inline double counter_normal_from(
+    CounterNormalHashes h) noexcept {
+  return counter_normal_radius(counter_normal_u1(h.h1)) *
+         __builtin_cos(counter_normal_angle(counter_normal_u2(h.h2)));
+}
+
 /// One standard-normal draw keyed by (seed, counter): deterministic,
 /// stateless, and safe to evaluate from any thread in any order. Used
 /// where simulation noise must not depend on scheduling (e.g. parallel
 /// statistical RRAM scoring). |result| ≤ kCounterNormalBound.
 [[nodiscard]] inline double counter_normal(std::uint64_t seed,
                                            std::uint64_t counter) noexcept {
-  const std::uint64_t h1 = mix64(seed ^ mix64(counter));
-  const std::uint64_t h2 = mix64(h1 ^ 0xd1b54a32d192ed03ULL);
-  const double u1 = (static_cast<double>(h1 >> 11) + 0.5) * 0x1.0p-53;
-  const double u2 = static_cast<double>(h2 >> 11) * 0x1.0p-53;
-  return __builtin_sqrt(-2.0 * __builtin_log(u1)) *
-         __builtin_cos(6.283185307179586 * u2);
+  return counter_normal_from(counter_normal_hashes(seed, counter));
 }
 
 /// SplitMix64: a 64-bit generator with a single word of state. Primarily
