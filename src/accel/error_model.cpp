@@ -1,6 +1,8 @@
 #include "accel/error_model.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -10,6 +12,12 @@ namespace oms::accel {
 MvmErrorStats calibrate_mvm_error(const rram::ArrayConfig& base,
                                   std::size_t n_pairs, int weight_bits,
                                   std::size_t samples, std::uint64_t seed) {
+  if (n_pairs > base.pair_rows()) {
+    throw std::invalid_argument(
+        "calibrate_mvm_error: " + std::to_string(n_pairs) +
+        " activated pairs exceed the array's " +
+        std::to_string(base.pair_rows()) + " differential pair rows");
+  }
   rram::ArrayConfig cfg = base;
   cfg.cell.levels = 1 << weight_bits;
 

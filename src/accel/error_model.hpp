@@ -38,7 +38,8 @@ struct MvmErrorStats {
 
 /// Runs `samples` random MVM phases through a scratch CrossbarArray with
 /// uniformly random quantized weights and bipolar inputs, and fits the
-/// error statistics. Deterministic in `seed`.
+/// error statistics. Deterministic in `seed`. Throws std::invalid_argument
+/// when `n_pairs` exceeds the array's differential pair rows.
 [[nodiscard]] MvmErrorStats calibrate_mvm_error(const rram::ArrayConfig& base,
                                                 std::size_t n_pairs,
                                                 int weight_bits,

@@ -121,9 +121,9 @@ double ImcSearchEngine::dot(const util::BitVec& query, std::size_t index) {
 double ImcSearchEngine::noisy_value(double exact, std::uint64_t key,
                                     std::size_t index,
                                     double sqrt_phases) const noexcept {
-  // Keyed on the *global* reference index so a shard reproduces exactly
-  // the noise a monolithic engine would apply to the same reference.
-  const double z = util::counter_normal(key, index + cfg_.index_offset);
+  // Keyed on the global reference index, so any range of the library
+  // (a sharded executor's shard) sees exactly the monolithic noise.
+  const double z = util::counter_normal(key, index);
   return gain_ * exact + z * phase_sigma_ * sqrt_phases;
 }
 

@@ -14,14 +14,15 @@
 //  * kIdeal        — exact search (equivalent to hd::top_k_search).
 //
 // The keyed and batched paths of both non-circuit fidelities (top_k_keyed,
-// search_many — and through them accel::ShardedSearch) run on the shared
-// hd::sweep_top_k core over a piecewise hd::RefView built once at
-// construction: tier-dispatched, cache-blocked exact Hamming distances per
-// (query, reference), then a per-pair score epilogue — gain·exact +
-// z·σ·√phases with z = util::counter_normal keyed on (seed, stream, global
-// reference index) in statistical fidelity, the exact dot in ideal
-// fidelity. Circuit fidelity stays on its own per-pair path because its
-// analog arrays carry per-call state.
+// search_many — and through them accel::ShardedSearch, whose shards are
+// index ranges of one engine) run on the shared hd::sweep_top_k core over
+// a piecewise hd::RefView built once at construction: tier-dispatched,
+// cache-blocked exact Hamming distances per (query, reference), then a
+// per-pair score epilogue — gain·exact + z·σ·√phases with z =
+// util::counter_normal keyed on (seed, stream, global reference index) in
+// statistical fidelity, the exact dot in ideal fidelity. Circuit fidelity
+// stays on its own per-pair path because its analog arrays carry per-call
+// state.
 //
 // Skip contract: the noisy epilogue hands the sweep a ceiling,
 // llround(gain·exact + kCounterNormalBound·σ·√phases) in noisy_value's
@@ -59,11 +60,6 @@ struct ImcSearchConfig {
   /// cell still uses its configured MLC levels for calibration parity
   /// with the paper's device experiments.
   int weight_bits = 1;
-  /// Global index of references[0]. Keyed noise draws are keyed on the
-  /// *global* reference index (index + offset), so a shard of a larger
-  /// library reproduces exactly the noise a monolithic engine over the
-  /// whole library would apply to the same references.
-  std::size_t index_offset = 0;
 };
 
 class ImcSearchEngine {

@@ -49,51 +49,11 @@ void merge_top_k(std::span<const std::vector<hd::SearchHit>* const> lists,
   }
 }
 
-/// Gathers per-shard values and weights, then defers to the one
-/// phase_weighted_mean implementation (the same function the aggregation
-/// tests pin down).
-template <typename Get>
-double weighted_over_shards(
-    const std::vector<std::unique_ptr<ImcSearchEngine>>& shards, Get get,
-    double empty_value) {
-  std::vector<double> values;
-  std::vector<std::uint64_t> phases;
-  std::vector<std::size_t> refs;
-  values.reserve(shards.size());
-  phases.reserve(shards.size());
-  refs.reserve(shards.size());
-  for (const auto& s : shards) {
-    values.push_back(get(*s));
-    phases.push_back(s->phases_executed());
-    refs.push_back(s->reference_count());
-  }
-  return phase_weighted_mean(values, phases, refs, empty_value);
-}
-
 }  // namespace
-
-double phase_weighted_mean(std::span<const double> values,
-                           std::span<const std::uint64_t> phase_weights,
-                           std::span<const std::size_t> fallback_weights,
-                           double empty_value) {
-  if (values.empty()) return empty_value;
-  std::uint64_t total_phases = 0;
-  for (const std::uint64_t w : phase_weights) total_phases += w;
-  double acc = 0.0;
-  double wsum = 0.0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const double w = total_phases > 0
-                         ? static_cast<double>(phase_weights[i])
-                         : static_cast<double>(fallback_weights[i]);
-    acc += w * values[i];
-    wsum += w;
-  }
-  return wsum > 0.0 ? acc / wsum : empty_value;
-}
 
 ShardedSearch::ShardedSearch(std::span<const util::BitVec> references,
                              const ShardedSearchConfig& cfg)
-    : refs_(references),
+    : engine_(references, cfg.engine),
       parallel_shards_(cfg.parallel_shards),
       pool_(cfg.pool) {
   if (references.empty()) {
@@ -117,13 +77,6 @@ ShardedSearch::ShardedSearch(std::span<const util::BitVec> references,
        start += refs_per_shard_) {
     const std::size_t count =
         std::min(refs_per_shard_, references.size() - start);
-    ImcSearchConfig engine_cfg = cfg.engine;
-    // Same seed everywhere + global index offset: shard s applies exactly
-    // the keyed noise a monolithic engine over the full library would, so
-    // sharded and single-engine searches return identical hits.
-    engine_cfg.index_offset = cfg.engine.index_offset + start;
-    shards_.push_back(std::make_unique<ImcSearchEngine>(
-        references.subspan(start, count), engine_cfg));
     plans_.push_back(plan_search_mapping(count, dim, cfg.chip,
                                          cfg.engine.activated_pairs));
   }
@@ -138,7 +91,7 @@ std::vector<hd::SearchHit> ShardedSearch::top_k(const util::BitVec& query,
                                                 std::size_t last,
                                                 std::size_t k,
                                                 std::uint64_t stream) const {
-  last = std::min(last, refs_.size());
+  last = std::min(last, reference_count());
   std::vector<hd::SearchHit> merged;
   if (k == 0 || first >= last) return merged;
 
@@ -148,11 +101,10 @@ std::vector<hd::SearchHit> ShardedSearch::top_k(const util::BitVec& query,
   shard_hits.reserve(shard_last - shard_first + 1);
   for (std::size_t s = shard_first; s <= shard_last; ++s) {
     const std::size_t base = s * refs_per_shard_;
-    const std::size_t lo = first > base ? first - base : 0;
-    const std::size_t hi = std::min(last - base, refs_per_shard_);
+    const std::size_t lo = std::max(first, base);
+    const std::size_t hi = std::min(last, base + refs_per_shard_);
     shard_entries_.fetch_add(1, std::memory_order_relaxed);
-    auto hits = shards_[s]->top_k_keyed(query, lo, hi, k, stream);
-    for (auto& h : hits) h.reference_index += base;  // back to global
+    auto hits = engine_.top_k_keyed(query, lo, hi, k, stream);
     if (!hits.empty()) shard_hits.push_back(std::move(hits));
   }
   std::vector<const std::vector<hd::SearchHit>*> lists;
@@ -167,28 +119,25 @@ std::vector<std::vector<hd::SearchHit>> ShardedSearch::search_many(
   std::vector<std::vector<hd::SearchHit>> out(queries.size());
   if (k == 0 || queries.empty()) return out;
 
-  // Localize the block once per intersecting shard, up front: every block
-  // query whose window intersects the shard is shipped together, so the
-  // shard (one chip in the deployment picture) is entered once per block.
+  // Split the block once per intersecting shard, up front: every block
+  // query whose window intersects the shard is shipped together, with its
+  // window clipped to the shard's global range, so the shard (one chip in
+  // the deployment picture) is entered once per block.
   struct ShardTask {
-    std::size_t shard = 0;
-    std::vector<hd::BatchQuery> sub;                ///< Shard-local windows.
+    std::vector<hd::BatchQuery> sub;                ///< Clipped windows.
     std::vector<std::size_t> slots;                 ///< Block slot of sub[j].
-    std::vector<std::vector<hd::SearchHit>> hits;   ///< Global indices.
+    std::vector<std::vector<hd::SearchHit>> hits;   ///< Per sub[j].
   };
   std::vector<ShardTask> tasks;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+  const std::size_t n_refs = reference_count();
+  for (std::size_t s = 0; s < shard_count(); ++s) {
     const std::size_t base = s * refs_per_shard_;
+    const std::size_t end = std::min(n_refs, base + refs_per_shard_);
     ShardTask task;
-    task.shard = s;
     for (std::size_t slot = 0; slot < queries.size(); ++slot) {
       const hd::BatchQuery& q = queries[slot];
-      const std::size_t first = q.first;
-      const std::size_t last = std::min(q.last, refs_.size());
-      if (first >= last) continue;
-      const std::size_t lo = first > base ? first - base : 0;
-      const std::size_t hi =
-          last > base ? std::min(last - base, refs_per_shard_) : 0;
+      const std::size_t lo = std::max(q.first, base);
+      const std::size_t hi = std::min(q.last, end);
       if (lo >= hi) continue;
       task.sub.push_back(hd::BatchQuery{q.hv, lo, hi, q.stream});
       task.slots.push_back(slot);
@@ -203,12 +152,8 @@ std::vector<std::vector<hd::SearchHit>> ShardedSearch::search_many(
   // help, so blocks already running on the pool can still fan out.
   const auto run_task = [&](std::size_t t) {
     ShardTask& task = tasks[t];
-    const std::size_t base = task.shard * refs_per_shard_;
     shard_entries_.fetch_add(1, std::memory_order_relaxed);
-    task.hits = shards_[task.shard]->search_many(task.sub, k);
-    for (auto& hits : task.hits) {
-      for (auto& h : hits) h.reference_index += base;  // back to global
-    }
+    task.hits = engine_.search_many(task.sub, k);
   };
   if (parallel_shards_ && tasks.size() > 1) {
     task_pool().parallel_tasks(tasks.size(), run_task);
@@ -232,40 +177,6 @@ std::vector<std::vector<hd::SearchHit>> ShardedSearch::search_many(
     merge_top_k(per_slot[slot], k, out[slot]);
   }
   return out;
-}
-
-std::uint64_t ShardedSearch::phases_executed() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) total += s->phases_executed();
-  return total;
-}
-
-std::uint64_t ShardedSearch::noise_draws() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) total += s->noise_draws();
-  return total;
-}
-
-std::size_t ShardedSearch::extent_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto& s : shards_) total += s->ref_view().extent_count();
-  return total;
-}
-
-bool ShardedSearch::contiguous_shards() const noexcept {
-  return std::all_of(shards_.begin(), shards_.end(), [](const auto& s) {
-    return s->ref_view().contiguous();
-  });
-}
-
-double ShardedSearch::phase_sigma() const noexcept {
-  return weighted_over_shards(
-      shards_, [](const ImcSearchEngine& s) { return s.phase_sigma(); }, 0.0);
-}
-
-double ShardedSearch::gain() const noexcept {
-  return weighted_over_shards(
-      shards_, [](const ImcSearchEngine& s) { return s.gain(); }, 1.0);
 }
 
 }  // namespace oms::accel

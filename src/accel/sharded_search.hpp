@@ -1,9 +1,17 @@
 // Sharded multi-chip search. The paper's motivation is data volume: public
 // MS repositories grow exponentially while single chips do not. This
 // executor splits a reference library into contiguous shards sized to one
-// chip's capacity (via the mapping planner), builds one in-memory search
-// engine per shard, and merges per-shard top-k results — the scale-out
-// layer a deployment of the accelerator needs.
+// chip's capacity (via the mapping planner) and merges per-shard top-k
+// results — the scale-out layer a deployment of the accelerator needs.
+//
+// One engine, many ranges: ShardedSearch holds ONE ImcSearchEngine over the
+// whole library — one hd::RefView, one noise calibration — and shard s is
+// the global index range [s·R, (s+1)·R) of it (R = references_per_shard(),
+// the last shard possibly ragged). Each shard has its own MappingPlan for
+// capacity and energy accounting. A shard search is the engine's sweep
+// restricted to the shard's range, with global reference indices, so the
+// keyed noise is exactly the monolithic engine's and phase_sigma() /
+// gain() are the engine's own calibration.
 //
 // Shards inherit the library's precursor-mass order, so a query's mass
 // window intersects only a contiguous run of shards and the executor
@@ -21,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,7 +43,7 @@ namespace oms::accel {
 
 struct ShardedSearchConfig {
   rram::ChipConfig chip{};          ///< Capacity unit per shard.
-  ImcSearchConfig engine{};         ///< Per-shard engine configuration.
+  ImcSearchConfig engine{};         ///< Configuration of the one engine.
   /// Cap on references per shard; 0 derives it from chip capacity
   /// (columns × column blocks that fit the chip's arrays).
   std::size_t max_refs_per_shard = 0;
@@ -48,18 +55,6 @@ struct ShardedSearchConfig {
   util::ThreadPool* pool = nullptr;
 };
 
-/// Weighted mean of per-shard values (sigma, gain) where the weights are
-/// the activation phases each shard executed — the share of the search
-/// each shard's calibration actually colored. Before any search has run
-/// (`phase_weights` all zero) the fallback weights (reference counts) are
-/// used, since phases are proportional to references for any fixed query
-/// mix. Exposed as a free function so the aggregation math is testable
-/// with deliberately uneven per-shard values.
-[[nodiscard]] double phase_weighted_mean(
-    std::span<const double> values,
-    std::span<const std::uint64_t> phase_weights,
-    std::span<const std::size_t> fallback_weights, double empty_value);
-
 class ShardedSearch {
  public:
   /// Builds shards over `references` (not owned; must outlive this).
@@ -69,39 +64,32 @@ class ShardedSearch {
                 const ShardedSearchConfig& cfg);
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
+    return plans_.size();
   }
   [[nodiscard]] std::size_t reference_count() const noexcept {
-    return refs_.size();
+    return engine_.reference_count();
   }
   [[nodiscard]] std::size_t references_per_shard() const noexcept {
     return refs_per_shard_;
   }
-  /// Accounting across shards: total activation phases, and the
-  /// phase-weighted aggregate of the shard engines' noise parameters
-  /// (each shard calibrates independently, so a ragged final shard could
-  /// settle on different values; see phase_weighted_mean).
-  [[nodiscard]] std::uint64_t phases_executed() const noexcept;
-  /// Keyed noise draws across shard engines (ImcSearchEngine::noise_draws).
-  [[nodiscard]] std::uint64_t noise_draws() const noexcept;
-  [[nodiscard]] double phase_sigma() const noexcept;
-  [[nodiscard]] double gain() const noexcept;
-  /// Per-shard accounting, for tests and calibration audits.
-  [[nodiscard]] double shard_phase_sigma(std::size_t i) const {
-    return shards_.at(i)->phase_sigma();
+  /// Activation phases and keyed noise draws across every shard search
+  /// (the one engine's counters).
+  [[nodiscard]] std::uint64_t phases_executed() const noexcept {
+    return engine_.phases_executed();
   }
-  [[nodiscard]] double shard_gain(std::size_t i) const {
-    return shards_.at(i)->gain();
+  [[nodiscard]] std::uint64_t noise_draws() const noexcept {
+    return engine_.noise_draws();
   }
-  [[nodiscard]] std::uint64_t shard_phases_executed(std::size_t i) const {
-    return shards_.at(i)->phases_executed();
+  /// The engine's calibrated noise parameters; every shard searches with
+  /// them.
+  [[nodiscard]] double phase_sigma() const noexcept {
+    return engine_.phase_sigma();
   }
-  /// Extents the per-shard sweeps run over, summed across shards (each
-  /// shard engine coalesces its own slice into an hd::RefView; a
-  /// contiguous library yields one extent per shard).
-  [[nodiscard]] std::size_t extent_count() const noexcept;
-  /// True when every shard's slice is one contiguous word block.
-  [[nodiscard]] bool contiguous_shards() const noexcept;
+  [[nodiscard]] double gain() const noexcept { return engine_.gain(); }
+  /// The engine's piecewise reference view; shards are index ranges of it.
+  [[nodiscard]] const hd::RefView& ref_view() const noexcept {
+    return engine_.ref_view();
+  }
   /// The mapping plan of shard `i` (for capacity/energy accounting).
   [[nodiscard]] const MappingPlan& plan(std::size_t i) const {
     return plans_.at(i);
@@ -121,7 +109,7 @@ class ShardedSearch {
   /// the intersecting shards concurrently when configured (see
   /// ShardedSearchConfig::parallel_shards), and merges the per-shard top-k
   /// lists per query with a bounded k-way merge. result[i] is
-  /// bit-identical to top_k(*queries[i].hv, ...) — shard noise is keyed on
+  /// bit-identical to top_k(*queries[i].hv, ...) — the noise is keyed on
   /// global reference indices, so neither blocking, shard order, nor
   /// scheduling changes any score.
   [[nodiscard]] std::vector<std::vector<hd::SearchHit>> search_many(
@@ -139,12 +127,11 @@ class ShardedSearch {
  private:
   [[nodiscard]] util::ThreadPool& task_pool() const;
 
-  std::span<const util::BitVec> refs_;
+  ImcSearchEngine engine_;
   std::size_t refs_per_shard_ = 0;
   bool parallel_shards_ = true;
   util::ThreadPool* pool_ = nullptr;
-  std::vector<std::unique_ptr<ImcSearchEngine>> shards_;
-  std::vector<MappingPlan> plans_;
+  std::vector<MappingPlan> plans_;  ///< One per shard.
   mutable std::atomic<std::uint64_t> shard_entries_{0};
 };
 

@@ -689,8 +689,6 @@ struct QueryEngine::Impl {
           be_shard_entries(r.gauge("backend.shard_entries")),
           be_query_blocks(r.gauge("backend.query_blocks")),
           be_batched_queries(r.gauge("backend.batched_queries")),
-          be_scanned_fraction(r.gauge("backend.scanned_fraction")),
-          be_prefilter_recall(r.gauge("backend.prefilter_recall")),
           enc_id_rows(r.gauge("encoder.id_rows")),
           enc_noise_draws(r.gauge("encoder.noise_draws")),
           enc_id_bank_bytes(r.gauge("encoder.id_bank_bytes")),
@@ -721,8 +719,6 @@ struct QueryEngine::Impl {
     obs::Gauge& be_shard_entries;
     obs::Gauge& be_query_blocks;
     obs::Gauge& be_batched_queries;
-    obs::Gauge& be_scanned_fraction;
-    obs::Gauge& be_prefilter_recall;
     obs::Gauge& enc_id_rows;
     obs::Gauge& enc_noise_draws;
     obs::Gauge& enc_id_bank_bytes;
@@ -759,8 +755,6 @@ struct QueryEngine::Impl {
     obs->be_shard_entries.set(static_cast<double>(s.shard_entries));
     obs->be_query_blocks.set(static_cast<double>(s.query_blocks));
     obs->be_batched_queries.set(static_cast<double>(s.batched_queries));
-    obs->be_scanned_fraction.set(s.scanned_fraction());
-    obs->be_prefilter_recall.set(s.prefilter_recall());
   }
 
   /// The query encoder → `encoder.*` gauges: ID-bank rows materialized so

@@ -20,9 +20,8 @@
 //                       latest snapshot into `backend.*` gauges of an
 //                       obs::MetricsRegistry after every searched block
 //                       (obs/metrics.hpp), which is how a live server's
-//                       STATS verb sees phases/shard-entries/scanned
-//                       fraction without any backend code knowing about
-//                       metrics.
+//                       STATS verb sees phases/shard-entries/extents
+//                       without any backend code knowing about metrics.
 //   * SearchBackend   — the interface: `top_k` for one query, `search_batch`
 //                       for many (default fans out over the global thread
 //                       pool; backends may override with a genuinely batched
@@ -32,7 +31,7 @@
 //                       nested-safe util::ThreadPool::parallel_tasks.
 //   * BackendRegistry — string-keyed factory. Built-in names:
 //                         "ideal-hd"         exact Hamming search
-//                                            (hd::top_k_search semantics);
+//                                            (hd::top_k_search_batch);
 //                         "rram-statistical" calibrated MLC-RRAM noise model
 //                                            (accel::ImcSearchEngine);
 //                         "rram-circuit"     search through the full crossbar
@@ -55,18 +54,17 @@
 // tiers (hd/kernels.hpp; all bit-identical) and hands each exact Hamming
 // distance to a per-backend score epilogue — identity for "ideal-hd", the
 // keyed gain + MLC-noise model for "rram-statistical"
-// (accel::ImcSearchEngine), and the same per shard engine for "sharded".
-// Each backend coalesces its span once at construction
-// (RefView::from_span — a mapped monolithic block is one extent,
-// LibraryIndex::ref_matrix() the same view; a segmented library one extent
-// per run of same-segment rows; a sharded engine one view per shard), and
-// every sweep — per-query, batched, prefiltered — runs per extent with
-// global reference indices. BackendStats::kernel / contiguous_refs /
+// (accel::ImcSearchEngine), and the same engine swept shard range by shard
+// range for "sharded". Each backend coalesces its span once at
+// construction (RefView::from_span — a mapped monolithic block is one
+// extent, a segmented library one extent per run of same-segment rows;
+// "sharded" builds one view for its one engine), and every sweep —
+// per-query or batched — runs per extent with global reference indices.
+// References of mixed dimension are rejected at construction
+// (std::invalid_argument). BackendStats::kernel / contiguous_refs /
 // extent_count report which tier and layout a run swept ("rram-circuit",
-// which simulates the analog arrays instead, reports none). The optional
-// ANN candidate prefilter ("ideal-hd", BackendOptions::prefilter) prunes
-// each precursor window before the exact sweep; see hd/search.hpp. In the
-// serve layer, serve::Maintainer (serve/maintainer.hpp) watches segmented
+// which simulates the analog arrays instead, reports none). In the serve
+// layer, serve::Maintainer (serve/maintainer.hpp) watches segmented
 // manifests and compacts them in the background, so fragmented views trend
 // back to one extent without any request-path work.
 //
@@ -158,35 +156,17 @@ struct BackendStats {
   /// touch the digital kernel.
   std::string kernel;
   /// True when the reference hypervectors form ONE contiguous word block
-  /// (hd::RefMatrix — the mmap'd monolithic index layout). A segmented
-  /// library reports false here but still sweeps through the piecewise
-  /// hd::RefView; extent_count below says how fragmented that view is.
+  /// (a one-extent hd::RefView — the mmap'd monolithic index layout). A
+  /// segmented library reports false here but still sweeps block-wise;
+  /// extent_count below says how fragmented the view is.
   bool contiguous_refs = false;
   /// Contiguous extents of the piecewise reference view the digital
   /// sweeps run over (hd::RefView): 1 = monolithic (contiguous_refs),
-  /// >1 = segmented/fragmented but still block-swept, 0 = no piecewise
-  /// view (per-BitVec fallback, or a substrate that never builds one).
-  /// "sharded" sums its shard engines' views (a contiguous library split
-  /// into S shards sweeps S extents) and reports contiguous_refs when
-  /// every shard's slice is one block.
+  /// >1 = segmented/fragmented but still block-swept, 0 = no view (an
+  /// empty library, or a substrate that never builds one). "sharded"
+  /// reports its one engine's view: shards are index ranges of it, so a
+  /// contiguous library split into S shards is still one extent.
   std::size_t extent_count = 0;
-  /// ANN candidate-prefilter accounting ("ideal-hd" with
-  /// BackendOptions::prefilter enabled; all zero otherwise). Candidates
-  /// are window entries seen by the prefilter stage; scanned are the ones
-  /// exactly swept after pruning; the audit_* counters come from the
-  /// deterministic in-band recall audit (hd::PrefilterConfig).
-  std::uint64_t prefilter_candidates = 0;
-  std::uint64_t prefilter_scanned = 0;
-  /// Auto-disable visibility: windows the sketch pass actually pruned vs
-  /// windows swept exactly despite the prefilter being enabled (under
-  /// PrefilterConfig::min_window, or shortlist >= window). Bypassed
-  /// windows count their candidates as scanned, keeping
-  /// scanned_fraction() honest when small windows dominate.
-  std::uint64_t prefilter_windows_pruned = 0;
-  std::uint64_t prefilter_windows_bypassed = 0;
-  std::uint64_t prefilter_audited_queries = 0;
-  std::uint64_t prefilter_audit_matched = 0;
-  std::uint64_t prefilter_audit_expected = 0;
 
   /// Mean queries amortized per batched block (0 before any batched call).
   [[nodiscard]] double queries_per_block() const noexcept {
@@ -195,28 +175,9 @@ struct BackendStats {
                                    static_cast<double>(query_blocks);
   }
 
-  /// Fraction of window candidates exactly swept: 1.0 with the prefilter
-  /// off (every candidate is scanned), < 1.0 when pruning is active.
-  [[nodiscard]] double scanned_fraction() const noexcept {
-    return prefilter_candidates == 0
-               ? 1.0
-               : static_cast<double>(prefilter_scanned) /
-                     static_cast<double>(prefilter_candidates);
-  }
-
-  /// Audited recall of the prefiltered top-k vs the exact top-k: exactly
-  /// 1.0 when pruning is off (the sweeps are exact by construction), and
-  /// the measured ratio once audit samples exist.
-  [[nodiscard]] double prefilter_recall() const noexcept {
-    return prefilter_audit_expected == 0
-               ? 1.0
-               : static_cast<double>(prefilter_audit_matched) /
-                     static_cast<double>(prefilter_audit_expected);
-  }
-
   /// Accumulates `other`'s exact counters into this (phases, noise
-  /// draws, shard entries, blocks, batched queries, prefilter_*). Identity
-  /// fields — backend name, references, shards, sigma, gain, kernel,
+  /// draws, shard entries, blocks, batched queries). Identity fields —
+  /// backend name, references, shards, sigma, gain, kernel,
   /// contiguous_refs — are adopted from `other` when this snapshot is
   /// still default-constructed, and kept otherwise. Because the counters
   /// are exact and scheduling-independent, stage-serial per-window deltas
@@ -244,8 +205,7 @@ struct BackendOptions {
   std::size_t activated_pairs = 64;    ///< Differential pairs per phase.
   std::size_t calibration_samples = 4096;
   std::uint64_t seed = 2024;
-  /// Per-shard engine fidelity for "sharded" (the rram-* names fix
-  /// theirs). Circuit fidelity is rejected: shards search through the
+  /// Engine fidelity for "sharded" (the rram-* names fix theirs). Circuit fidelity is rejected: shards search through the
   /// thread-safe keyed path only.
   accel::Fidelity sharded_fidelity = accel::Fidelity::kStatistical;
   /// Capacity unit per shard. `chip.array` is overridden with `array`
@@ -267,12 +227,6 @@ struct BackendOptions {
   /// util::ThreadPool::global(). Tests inject small pools to pin the
   /// worker count.
   util::ThreadPool* shard_pool = nullptr;
-  /// "ideal-hd" only: opt-in ANN-style candidate prefilter ahead of the
-  /// exact sweep (hd::PrefilterConfig; disabled by default). Approximate
-  /// when enabled — the scanned fraction and audited recall surface in
-  /// BackendStats — so the exactness-dependent equivalence suites must
-  /// leave it off.
-  hd::PrefilterConfig prefilter{};
 };
 
 /// Abstract search backend over an externally owned reference set (the

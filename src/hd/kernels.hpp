@@ -11,31 +11,25 @@
 //            check;
 //   kAvx512  512-bit XOR + native vpopcntq (AVX-512-VPOPCNTDQ).
 //
-// The dispatched entry points (xor_popcount, hamming_sweep) read the active
-// tier once per call; best_supported() is CPUID-probed at startup and the
-// OMSHD_KERNEL_TIER env var ("scalar" | "avx2" | "avx512") or
-// set_active_tier() can clamp it down — benches use this to measure every
+// The dispatched pair entry point (xor_popcount) reads the active tier once
+// per call; the extent sweep (hamming_sweep_tier) takes it explicitly.
+// best_supported() is CPUID-probed at startup and the OMSHD_KERNEL_TIER env
+// var ("scalar" | "avx2" | "avx512") or set_active_tier() can clamp it down — benches use this to measure every
 // tier, tests to prove bit-identity across all of them.
 //
 // The ID-Level encoder's accumulate and binarize kernels (declared at the
 // end of this header, defined in hd/encode_kernels.cpp) dispatch through
 // the same tiers and the same active-tier clamp.
 //
-// RefMatrix is the contiguous reference-major view the sweeps run over: a
-// raw word pointer + row stride into a hypervector block (the mmap'd
-// index::LibraryIndex word block is laid out exactly like this, 64-byte
-// aligned — the PR 4 alignment choice this layer cashes in). All loads are
-// unaligned-safe, so the 8-byte-aligned in-memory MappedFile fallback goes
-// through the same kernels.
-//
-// RefView generalizes that to a *piecewise* layout: an ordered list of
-// contiguous (words, stride, rows, base-index) extents partitioning the
-// global reference index space [0, count). A one-extent view IS a
-// RefMatrix, so the monolithic fast path is the degenerate case of the
-// piecewise sweep rather than a parallel code path; a multi-segment
-// index::SegmentedLibrary — whose merged order interleaves disjoint
-// mapped blocks — exposes itself as a many-extent view and keeps the
-// SIMD sweeps instead of dropping to per-BitVec indirection.
+// RefView is the one reference layout the sweeps run over: an ordered
+// list of contiguous (words, stride, rows, base-index) extents partitioning
+// the global reference index space [0, count). The mmap'd
+// index::LibraryIndex word block (64-byte aligned) is one extent; a
+// multi-segment index::SegmentedLibrary — whose merged order interleaves
+// disjoint mapped blocks — is one extent per run of same-segment rows and
+// keeps the SIMD sweep instead of dropping to per-BitVec indirection. All
+// loads are unaligned-safe, so the 8-byte-aligned in-memory MappedFile
+// fallback goes through the same kernels.
 #pragma once
 
 #include <cstddef>
@@ -47,38 +41,6 @@
 #include "util/bitvec.hpp"
 
 namespace oms::hd {
-
-/// Contiguous reference-major matrix view: hypervector i occupies words
-/// [words + i*stride, words + i*stride + word_count) with word_count =
-/// ceil(dim/64) <= stride. Non-owning; the block must outlive the view.
-struct RefMatrix {
-  const std::uint64_t* words = nullptr;
-  std::size_t stride = 0;  ///< Words between consecutive rows (>= word_count).
-  std::size_t count = 0;   ///< Rows (hypervectors).
-  std::size_t dim = 0;     ///< Bits per row.
-
-  [[nodiscard]] constexpr bool valid() const noexcept {
-    return words != nullptr;
-  }
-  [[nodiscard]] constexpr std::size_t word_count() const noexcept {
-    return (dim + 63) / 64;
-  }
-  [[nodiscard]] constexpr const std::uint64_t* row(
-      std::size_t i) const noexcept {
-    return words + i * stride;
-  }
-
-  /// Detects whether `refs` is a constant-stride walk over one contiguous
-  /// word block (equal dims, row i at base + i*stride for a uint64-aligned
-  /// stride >= word_count) and returns the matching view; an invalid (null)
-  /// matrix otherwise. The zero-copy BitVec views a LibraryIndex exposes
-  /// always detect; per-BitVec owned storage normally does not (and when a
-  /// heap layout happens to be regular, the resulting view is still
-  /// correct — every row pointer is verified). O(refs.size()) pointer
-  /// checks: cheap next to any sweep, but hoist it out of per-query loops.
-  [[nodiscard]] static RefMatrix from_span(
-      std::span<const util::BitVec> refs) noexcept;
-};
 
 /// One contiguous run of a piecewise reference view: global rows
 /// [base, base + rows) live at words + j*stride for j in [0, rows).
@@ -93,7 +55,7 @@ struct RefExtent {
 /// partitioning the global index space [0, count()), all sharing one dim.
 /// The sweeps and search kernels iterate extents with global reference
 /// indices, so results (and the index-keyed noise of simulated backends)
-/// are bit-identical to a monolithic RefMatrix over the same rows.
+/// do not depend on how the rows are split into extents.
 /// Non-owning; the underlying blocks must outlive the view.
 class RefView {
  public:
@@ -108,7 +70,7 @@ class RefView {
   [[nodiscard]] std::size_t extent_count() const noexcept {
     return extents_.size();
   }
-  /// True when the whole view is one extent — today's RefMatrix layout.
+  /// True when the whole view is one extent (one contiguous word block).
   [[nodiscard]] bool contiguous() const noexcept {
     return extents_.size() == 1;
   }
@@ -123,18 +85,13 @@ class RefView {
   /// Row pointer by global index (extent_index + offset arithmetic).
   [[nodiscard]] const std::uint64_t* row(std::size_t i) const noexcept;
 
-  /// The equivalent RefMatrix when contiguous(); invalid otherwise.
-  [[nodiscard]] RefMatrix matrix() const noexcept;
-
   /// Greedily coalesces `refs` into maximal constant-stride runs: block-
   /// backed spans (LibraryIndex, one SegmentedLibrary segment) become one
   /// extent per underlying block, individually heap-allocated BitVecs
   /// degenerate to single-row extents (still correct — every row pointer
-  /// is taken verbatim). Invalid on an empty span or mixed dims.
+  /// is taken verbatim). Invalid on an empty span, zero-dimension rows or
+  /// mixed dims.
   [[nodiscard]] static RefView from_span(std::span<const util::BitVec> refs);
-
-  /// Wraps a valid RefMatrix as the degenerate one-extent view.
-  [[nodiscard]] static RefView from_matrix(const RefMatrix& m);
 
  private:
   std::vector<RefExtent> extents_;
@@ -173,33 +130,17 @@ Tier set_active_tier(Tier tier) noexcept;
                                             const std::uint64_t* b,
                                             std::size_t n) noexcept;
 
-/// Hamming distances of one query against matrix rows [first, last):
-/// out[j] = popcount(query ^ row(first + j)). The reference-major inner
-/// loop of the exact search; rows stream sequentially so the hardware
-/// prefetcher sees one linear walk over the mapped block.
-void hamming_sweep(const std::uint64_t* query, const RefMatrix& refs,
-                   std::size_t first, std::size_t last,
-                   std::uint32_t* out) noexcept;
-
-/// Same, through an explicit tier (must be <= best_supported()).
+/// Hamming distances of one query against rows [first, last) of one
+/// extent (indices local to the extent): out[j] = popcount(query ^
+/// words[(first + j) * stride]) over `word_count` words. The
+/// reference-major inner loop of the exact search; rows stream
+/// sequentially so the hardware prefetcher sees one linear walk over the
+/// block. The tier is explicit (must be <= best_supported()): the one
+/// caller, hd::sweep_top_k, resolves it once per call, not per extent.
 void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
-                        const RefMatrix& refs, std::size_t first,
-                        std::size_t last, std::uint32_t* out) noexcept;
-
-/// Piecewise sweep: Hamming distances of one query against view rows
-/// [first, last) in *global* index order, out[j] for row first + j. Runs
-/// the contiguous sweep per overlapping extent, so a one-extent view is
-/// exactly the RefMatrix sweep.
-void hamming_sweep(const std::uint64_t* query, const RefView& refs,
-                   std::size_t first, std::size_t last,
-                   std::uint32_t* out) noexcept;
-
-/// Same, through an explicit tier (must be <= best_supported()). The tier
-/// is resolved once by the caller, not per extent — batched callers hoist
-/// the atomic dispatch load out of their sweep loops with this.
-void hamming_sweep_tier(Tier tier, const std::uint64_t* query,
-                        const RefView& refs, std::size_t first,
-                        std::size_t last, std::uint32_t* out) noexcept;
+                        const RefExtent& refs, std::size_t word_count,
+                        std::size_t first, std::size_t last,
+                        std::uint32_t* out) noexcept;
 
 /// Rows per cache block for a batched sweep: sized so one chunk of
 /// reference rows (~chunk * row_words * 8 bytes) stays L2-resident while

@@ -4,42 +4,34 @@
 // what turns the same kernel into either a standard search (narrow window)
 // or an open modification search (wide window).
 //
-// Besides the per-query kernels this header carries the *query block*
-// vocabulary shared by every batched search path: BatchQuery (one request
+// The production search runs a query *block* through sweep_top_k, the one
+// sweep core. This header carries its vocabulary: BatchQuery (one request
 // in a block), insert_top_k (the top-k maintenance every kernel uses, so
 // tie-breaking is identical everywhere), for_each_query_segment (the
 // reference-major sweep that lets one pass over resident references serve a
-// whole block), and sweep_top_k — the one sweep core. It produces exact
-// Hamming distances per (query slot, global reference index) and each
-// substrate supplies only a score epilogue: identity for exact HD
-// (top_k_search / top_k_search_batch), gain plus keyed MLC noise for the
-// statistical RRAM engine (accel/imc_search.hpp), which the sharded engine
-// reaches through its per-shard engines. An epilogue with an expensive
-// score may add a ceiling (an upper bound on the pair's dot), and the core
-// then skips pairs that provably cannot enter the slot's top-k — exactly,
-// so no result changes.
+// whole block) and sweep_top_k itself. The core produces exact Hamming
+// distances per (query slot, global reference index) over an hd::RefView
+// and each substrate supplies only a score epilogue: identity for exact HD
+// (top_k_search_batch, and top_k_search over a view as a block of one),
+// gain plus keyed MLC noise for the statistical RRAM engine
+// (accel/imc_search.hpp), which the sharded executor reaches by sweeping
+// index ranges of one engine. An epilogue with an expensive score may add a
+// ceiling (an upper bound on the pair's dot), and the core then skips pairs
+// that provably cannot enter the slot's top-k — exactly, so no result
+// changes.
 //
 // Kernel/dispatch seam: the word-level XOR-popcount work underneath lives
 // in hd/kernels.hpp — runtime-dispatched scalar / AVX2 / AVX-512-VPOPCNTDQ
-// tiers, all bit-identical, plus the contiguous RefMatrix view over a
-// hypervector word block and the piecewise RefView (an ordered list of
+// tiers, all bit-identical, plus the piecewise RefView (an ordered list of
 // contiguous extents with global indices). sweep_top_k runs over a RefView,
-// cache-blocked per extent, so both a mapped monolithic
-// index::LibraryIndex (one extent) and a multi-segment
-// index::SegmentedLibrary (one extent per run of same-segment rows) go
-// through the same kernel; the RefMatrix overloads are the degenerate
-// one-extent case. The span overloads auto-detect a contiguous layout per
-// batch and fall back to per-BitVec indirection (still through the
-// dispatched pair kernel) when the references are individually
-// heap-allocated.
+// cache-blocked per extent, so a mapped monolithic index::LibraryIndex (one
+// extent), a multi-segment index::SegmentedLibrary (one extent per run of
+// same-segment rows) and individually heap-allocated BitVecs (one extent
+// per row) all go through the same kernel.
 //
-// ANN candidate prefilter (opt-in, off by default): before the exact sweep
-// of a precursor window, a cheap sampled-word Hamming sketch ranks the
-// window's candidates and only the best keep_fraction are exactly scored —
-// scan *less* instead of just scanning faster. Approximate by design, so
-// it never runs unless explicitly enabled (PrefilterConfig / the backend's
-// BackendOptions::prefilter); PrefilterCounters reports the scanned
-// fraction and a deterministic audit measures recall in-band.
+// Reference loop: top_k_search over a span and best_match score one pair
+// at a time through the dispatched pair kernel. No production path calls
+// them; they are the plain oracle the sweep core's tests compare against.
 #pragma once
 
 #include <algorithm>
@@ -74,36 +66,26 @@ struct SearchHit {
   [[nodiscard]] bool operator==(const SearchHit&) const = default;
 };
 
-/// Scores `query` against references[first..last) and returns up to `k`
-/// best hits sorted by decreasing similarity (ties broken by lower index,
-/// so results are deterministic).
+/// Reference loop: scores `query` against references[first..last) one pair
+/// at a time and returns up to `k` best hits sorted by decreasing
+/// similarity (ties broken by lower index, so results are deterministic).
+/// The oracle the sweep core is tested against; no production path calls it.
 [[nodiscard]] std::vector<SearchHit> top_k_search(
     const util::BitVec& query, std::span<const util::BitVec> references,
     std::size_t first, std::size_t last, std::size_t k);
 
-/// Same search over a contiguous reference matrix (bit-identical results):
-/// the SIMD sweep runs straight over the word block with no per-BitVec
-/// indirection. Callers holding a block-backed library (index load path)
-/// should build the RefMatrix once and use this overload per query.
-[[nodiscard]] std::vector<SearchHit> top_k_search(const util::BitVec& query,
-                                                  const RefMatrix& references,
-                                                  std::size_t first,
-                                                  std::size_t last,
-                                                  std::size_t k);
-
-/// Same search over a piecewise view (bit-identical results): a block of
-/// one through sweep_top_k, per extent with global reference indices and
-/// candidates in ascending global order. A multi-segment SegmentedLibrary's
-/// view keeps the block sweep across its mapped segments instead of
-/// falling back to per-BitVec indirection.
+/// The same search over a piecewise view (bit-identical results): a block
+/// of one through sweep_top_k, per extent with global reference indices and
+/// candidates in ascending global order. An invalid (empty) view yields no
+/// hits.
 [[nodiscard]] std::vector<SearchHit> top_k_search(const util::BitVec& query,
                                                   const RefView& references,
                                                   std::size_t first,
                                                   std::size_t last,
                                                   std::size_t k);
 
-/// Convenience single-best search; returns an invalid hit (!hit.valid())
-/// if the candidate range is empty.
+/// Single-best reference loop (top_k_search over the span with k = 1);
+/// returns an invalid hit (!hit.valid()) if the candidate range is empty.
 [[nodiscard]] SearchHit best_match(const util::BitVec& query,
                                    std::span<const util::BitVec> references,
                                    std::size_t first, std::size_t last);
@@ -263,6 +245,7 @@ template <typename Score, typename Ceiling = NoCeiling>
   }
   const kernels::Tier tier = kernels::active_tier();
   const std::size_t ref_dim = references.dim();
+  const std::size_t ref_words = references.word_count();
   std::vector<std::uint32_t> dist;  // per-chunk distances, reused
 
   // Per slot: the k-th dot once the slot is full, and the smallest
@@ -295,7 +278,6 @@ template <typename Score, typename Ceiling = NoCeiling>
             references, lo, hi,
             [&](const RefExtent& ext, std::size_t lfirst,
                 std::size_t llast) {
-              const RefMatrix m{ext.words, ext.stride, ext.rows, ref_dim};
               const std::size_t chunk = kernels::sweep_chunk_rows(ext.stride);
               dist.resize(std::max(dist.size(),
                                    std::min(chunk, llast - lfirst)));
@@ -303,8 +285,8 @@ template <typename Score, typename Ceiling = NoCeiling>
               for (std::size_t c0 = lfirst; c0 < llast; c0 += chunk) {
                 const std::size_t c1 = std::min(llast, c0 + chunk);
                 for (const std::size_t slot : active) {
-                  kernels::hamming_sweep_tier(tier, qwords[slot], m, c0, c1,
-                                              d);
+                  kernels::hamming_sweep_tier(tier, qwords[slot], ext,
+                                              ref_words, c0, c1, d);
                   std::vector<SearchHit>& hits = out[slot];
                   if constexpr (kBounded) {
                     std::size_t limit = skip_from[slot];
@@ -332,106 +314,12 @@ template <typename Score, typename Ceiling = NoCeiling>
 }
 
 /// Batched exact kernel: searches a whole query block in one
-/// reference-major sweep. result[i] is bit-identical to
+/// reference-major sweep — sweep_top_k with the identity epilogue
+/// (similarity = 1 - ham / D). result[i] is bit-identical to
 /// top_k_search(*queries[i].hv, references, queries[i].first,
-/// queries[i].last, k). Detects a contiguous reference layout once per
-/// call (RefMatrix::from_span) and takes the cache-blocked SIMD sweep when
-/// it holds; otherwise the per-BitVec fallback with hoisted per-slot query
-/// pointers.
-[[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
-    std::span<const BatchQuery> queries,
-    std::span<const util::BitVec> references, std::size_t k);
-
-/// Batched exact kernel over a piecewise reference view: sweep_top_k with
-/// the identity epilogue (similarity = 1 - ham / D). Bit-identical to the
-/// span overload.
+/// queries[i].last, k).
 [[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
     std::span<const BatchQuery> queries, const RefView& references,
     std::size_t k);
-
-/// Batched exact kernel over a contiguous reference matrix — the
-/// degenerate one-extent case of the piecewise kernel above.
-[[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch(
-    std::span<const BatchQuery> queries, const RefMatrix& references,
-    std::size_t k);
-
-/// Opt-in ANN-style candidate prefilter ahead of the exact sweep. With
-/// `enabled` false (the default) the prefiltered entry points are exactly
-/// the exact search — recall 1.0 by construction.
-struct PrefilterConfig {
-  bool enabled = false;
-  /// Fraction of each window's candidates shortlisted for the exact sweep
-  /// (>= 1.0 keeps everything, making the search exact again).
-  double keep_fraction = 0.125;
-  /// Windows at or below this candidate count are always swept exactly —
-  /// pruning tiny windows saves nothing and risks the top-k itself.
-  std::size_t min_keep = 64;
-  /// Windows with fewer candidates than this are swept exactly even when
-  /// the prefilter is enabled: the per-query sketch pass costs more than
-  /// the batched SIMD sweep saves on small windows, so pruning them is a
-  /// slowdown AND a recall risk. 512 is coherent with the defaults above
-  /// (min_keep 64 = 0.125 × 512 — below it the shortlist could not shrink
-  /// anyway). Bypassed windows are reported via
-  /// PrefilterCounters::windows_bypassed so scanned fractions stay honest.
-  std::size_t min_window = 512;
-  /// Words of each hypervector sampled (evenly spaced) into the sketch
-  /// score. 16 words = 1024 bits: a 1/8 sketch at the paper's D = 8k.
-  std::size_t sketch_words = 16;
-  /// Fraction of queries (chosen deterministically by stream key) whose
-  /// window is *also* swept exactly to measure recall in-band. Audited
-  /// queries still return the prefiltered result, so results never depend
-  /// on the audit rate; only the counters do.
-  double audit_fraction = 0.0;
-};
-
-/// Work and recall accounting for the prefiltered paths. Plain counters —
-/// callers running concurrently aggregate per-call instances.
-struct PrefilterCounters {
-  std::uint64_t window_candidates = 0;  ///< Candidates inside all windows.
-  std::uint64_t scanned = 0;            ///< Exactly swept after pruning.
-  /// Non-empty windows where the sketch pass ran and pruned candidates.
-  std::uint64_t windows_pruned = 0;
-  /// Non-empty windows swept exactly instead: prefilter disabled, window
-  /// under min_window, or shortlist no smaller than the window. Their
-  /// candidates count as scanned, so scanned fractions stay honest.
-  std::uint64_t windows_bypassed = 0;
-  std::uint64_t audited_queries = 0;
-  std::uint64_t audit_matched = 0;   ///< |prefiltered top-k ∩ exact top-k|.
-  std::uint64_t audit_expected = 0;  ///< Σ |exact top-k| over audits.
-
-  void accumulate(const PrefilterCounters& other) noexcept {
-    window_candidates += other.window_candidates;
-    scanned += other.scanned;
-    windows_pruned += other.windows_pruned;
-    windows_bypassed += other.windows_bypassed;
-    audited_queries += other.audited_queries;
-    audit_matched += other.audit_matched;
-    audit_expected += other.audit_expected;
-  }
-};
-
-/// Prefiltered single-query search: sketch-rank the window, exactly sweep
-/// the shortlist. Deterministic (sketch ties break by lower index) but
-/// approximate when pruning is active; bit-identical to top_k_search when
-/// cfg.enabled is false or the shortlist covers the window. `stream` keys
-/// the audit choice only — never the result. `view` may point at the
-/// caller's cached piecewise view (null → detect nothing, walk the span);
-/// the sketch pass and the shortlist sweep both visit rows in ascending
-/// global order, walking the view's extents with an amortized-O(1) cursor.
-[[nodiscard]] std::vector<SearchHit> top_k_search_prefiltered(
-    const util::BitVec& query, std::span<const util::BitVec> references,
-    std::size_t first, std::size_t last, std::size_t k,
-    const PrefilterConfig& cfg, std::uint64_t stream,
-    PrefilterCounters* counters = nullptr, const RefView* view = nullptr);
-
-/// Batched prefiltered search: per-query pruning (candidate shortlists are
-/// scattered, so there is no shared reference-major segment sweep to
-/// amortize). result[i] is bit-identical to top_k_search_prefiltered on
-/// queries[i].
-[[nodiscard]] std::vector<std::vector<SearchHit>> top_k_search_batch_prefiltered(
-    std::span<const BatchQuery> queries,
-    std::span<const util::BitVec> references, std::size_t k,
-    const PrefilterConfig& cfg, PrefilterCounters* counters = nullptr,
-    const RefView* view = nullptr);
 
 }  // namespace oms::hd

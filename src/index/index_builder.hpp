@@ -92,8 +92,8 @@ class IndexBuilder {
 
   /// Rewrites all of a segmented library's segments into a single fresh
   /// segment — zero encode calls, byte-identical to a one-shot build()
-  /// of the union (restoring the contiguous-RefMatrix SIMD fast path a
-  /// multi-segment library gives up) — publishes the one-segment
+  /// of the union (collapsing the piecewise hd::RefView of a multi-segment
+  /// library back to one contiguous extent) — publishes the one-segment
   /// manifest, then removes the superseded segment files. Search results
   /// are bit-identical before and after.
   BuildStats compact(const std::string& manifest_path) const;

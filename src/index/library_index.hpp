@@ -36,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "hd/kernels.hpp"
 #include "index/format.hpp"
 #include "ms/library.hpp"
 #include "util/bitvec.hpp"
@@ -119,15 +118,6 @@ class LibraryIndex {
   /// Raw view of one hypervector's mapped words.
   [[nodiscard]] util::ConstBitVec hypervector(std::size_t i) const noexcept {
     return {hv_words_ + i * meta_->words_per_hv, meta_->dim};
-  }
-
-  /// Contiguous reference-major view over the whole mapped word block —
-  /// the raw (pointer, stride) form the SIMD sweep kernels consume
-  /// (hd/kernels.hpp). Identical to what RefMatrix::from_span detects on
-  /// hypervectors(); exposed so the layout contract is explicit at the
-  /// artifact seam. Valid as long as this index lives.
-  [[nodiscard]] hd::RefMatrix ref_matrix() const noexcept {
-    return hd::RefMatrix{hv_words_, meta_->words_per_hv, size(), meta_->dim};
   }
 
   /// The mapped precursor-mass axis (sorted ascending); empty for

@@ -10,15 +10,15 @@
 // are pairwise distinct across segment boundaries — every synthesized and
 // real-spectrum workload in this repo — the merged order is exactly the
 // order a one-shot IndexBuilder::build of the union would produce, so
-// global reference indices (and with them the `ImcSearchConfig::
-// index_offset` noise keying and `Psm::reference_index`) carry over
+// global reference indices (and with them the index-keyed search noise
+// and `Psm::reference_index`) carry over
 // unchanged and search results are bit-identical to the monolithic
 // artifact. Exactly-equal masses across segments order manifest-wise
 // here versus build-interleave-wise one-shot; compaction (which rewrites
 // through the one-shot writer) canonicalizes such ties.
 //
 // The mapped word blocks of different segments are disjoint allocations,
-// so a multi-segment library is never ONE contiguous RefMatrix — but the
+// so a multi-segment library is never ONE contiguous block — but the
 // merged order decomposes into runs of same-segment rows, each a
 // contiguous slice of one mapped block. ref_view() exposes exactly that
 // piecewise layout as an hd::RefView (built once at open), so the SIMD
@@ -95,7 +95,7 @@ class SegmentedLibrary {
 
   /// Piecewise reference view over the same rows: one contiguous extent
   /// per maximal run of same-segment rows in the merged order (a
-  /// one-segment library is a single extent — the RefMatrix layout).
+  /// one-segment library is a single extent, like a LibraryIndex).
   /// Built once at open; valid as long as this object lives, and stable
   /// across moves (extents point into the mapped blocks, which never
   /// relocate).

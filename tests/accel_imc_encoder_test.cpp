@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
+
 namespace oms::accel {
 namespace {
 
@@ -143,6 +146,22 @@ TEST(ImcEncoder, CircuitModeRejectsTooManyPeaks) {
   make_sparse(6, 20, bins, weights);
   enc.id_bank().ensure(bins);
   EXPECT_THROW((void)imc.encode(bins, weights), std::invalid_argument);
+}
+
+TEST(ImcEncoder, PrecalibrateRejectsMorePeaksThanPairRows) {
+  // The default 256-row array has 128 differential pair rows. Calibration
+  // rounds peak counts up to a multiple of 8, so 128 peaks calibrate a
+  // 128-row bucket and 129 peaks would need a 136-row one: that must be a
+  // clear std::invalid_argument, not an out-of-range from deep inside the
+  // scratch crossbar.
+  hd::Encoder enc(encoder_config());
+  ImcEncoder imc(enc, imc_config(Fidelity::kStatistical));
+  ASSERT_EQ(imc_config(Fidelity::kStatistical).array.pair_rows(), 128U);
+  const std::size_t fits[] = {128};
+  EXPECT_NO_THROW(imc.precalibrate(std::span<const std::size_t>(fits)));
+  const std::size_t too_many[] = {129};
+  EXPECT_THROW(imc.precalibrate(std::span<const std::size_t>(too_many)),
+               std::invalid_argument);
 }
 
 TEST(ImcEncoder, EmptySpectrumEncodesToZeroVector) {

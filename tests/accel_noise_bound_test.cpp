@@ -265,9 +265,8 @@ TEST(NoiseBound, ShardedMatchesFullDrawOracleAcrossShardBoundaries) {
   cfg.max_refs_per_shard = kRefsPerShard;
   const ShardedSearch sharded(lib.refs(), cfg);
   ASSERT_GT(sharded.shard_count(), 3u);
-  const auto params = [&](std::size_t i) {
-    const std::size_t s = i / sharded.references_per_shard();
-    return std::pair{sharded.shard_gain(s), sharded.shard_phase_sigma(s)};
+  const auto params = [&](std::size_t) {
+    return std::pair{sharded.gain(), sharded.phase_sigma()};
   };
   for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{5},
                               kRefs}) {

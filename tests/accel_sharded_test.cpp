@@ -90,71 +90,34 @@ TEST(ShardedSearch, RejectsEmptyReferences) {
                std::invalid_argument);
 }
 
-TEST(ShardedSearch, PhaseWeightedMeanWeighsUnevenShards) {
-  // Regression: phase_sigma()/gain() used to return shards_.front()'s
-  // values only. The aggregate must weight every shard — by executed
-  // phases once a search ran, by reference count before (a deliberately
-  // uneven last shard gets proportionally less weight).
-  const double values[] = {0.5, 0.5, 0.9};
-  const std::uint64_t no_phases[] = {0, 0, 0};
-  const std::size_t refs[] = {200, 200, 100};  // ragged tail
-  EXPECT_NEAR(phase_weighted_mean(values, no_phases, refs, 0.0),
-              (0.5 * 200 + 0.5 * 200 + 0.9 * 100) / 500.0, 1e-12);
-
-  // Once phases exist they dominate: only the tail shard searched.
-  const std::uint64_t tail_only[] = {0, 0, 800};
-  EXPECT_NEAR(phase_weighted_mean(values, tail_only, refs, 0.0), 0.9, 1e-12);
-
-  // Mixed load.
-  const std::uint64_t mixed[] = {600, 200, 200};
-  EXPECT_NEAR(phase_weighted_mean(values, mixed, refs, 0.0),
-              (0.5 * 600 + 0.5 * 200 + 0.9 * 200) / 1000.0, 1e-12);
-
-  // Degenerate inputs fall back to the empty value.
-  EXPECT_EQ(phase_weighted_mean({}, {}, {}, 1.0), 1.0);
-  const double one[] = {0.7};
-  const std::uint64_t zero_w[] = {0};
-  const std::size_t zero_f[] = {0};
-  EXPECT_EQ(phase_weighted_mean(one, zero_w, zero_f, 1.0), 1.0);
-}
-
-TEST(ShardedSearch, SigmaAndGainAggregateAcrossUnevenShards) {
+TEST(ShardedSearch, RaggedShardsShareOneEngineCalibration) {
   // 500 references at 200/shard: 200 + 200 + 100 — the last shard is
-  // deliberately uneven. Each shard engine calibrates independently;
-  // the executor must report the phase-weighted aggregate and expose the
-  // per-shard values for auditing.
+  // deliberately ragged. Shards are index ranges of ONE engine, so the
+  // executor reports that engine's own calibration: bit-equal (not just
+  // close) to a monolithic rram-statistical engine's, before any search
+  // (no reference-count weighting over per-shard values) and after a
+  // search confined to the ragged tail (no phase weighting either).
   const auto refs = random_refs(500, 1024, 11);
-  const ShardedSearch sharded(refs,
-                              small_config(Fidelity::kStatistical, 200));
+  const ShardedSearchConfig cfg = small_config(Fidelity::kStatistical, 200);
+  const ShardedSearch sharded(refs, cfg);
   ASSERT_EQ(sharded.shard_count(), 3U);
+  EXPECT_EQ(sharded.plan(2).references, 100U);
+  // One view over the whole library, not one per shard.
+  EXPECT_EQ(sharded.ref_view().count(), refs.size());
 
-  std::vector<double> sigmas;
-  std::vector<double> gains;
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    sigmas.push_back(sharded.shard_phase_sigma(s));
-    gains.push_back(sharded.shard_gain(s));
-    EXPECT_GT(sigmas.back(), 0.0) << s;
-    EXPECT_GT(gains.back(), 0.0) << s;
-  }
+  const ImcSearchEngine mono(refs, cfg.engine);
+  ASSERT_GT(mono.phase_sigma(), 0.0);
+  EXPECT_EQ(sharded.phase_sigma(), mono.phase_sigma());
+  EXPECT_EQ(sharded.gain(), mono.gain());
 
-  // Before any search: reference-count weights (200/200/100).
-  const double pre_sigma =
-      (sigmas[0] * 200 + sigmas[1] * 200 + sigmas[2] * 100) / 500.0;
-  const double pre_gain =
-      (gains[0] * 200 + gains[1] * 200 + gains[2] * 100) / 500.0;
-  EXPECT_NEAR(sharded.phase_sigma(), pre_sigma, 1e-12);
-  EXPECT_NEAR(sharded.gain(), pre_gain, 1e-12);
-
-  // Search only the uneven tail shard's range: phases now weight the
-  // aggregate entirely onto shard 2.
   util::BitVec query(1024);
   query.randomize(77);
-  (void)sharded.top_k(query, 430, 500, 3, 1);
-  EXPECT_EQ(sharded.shard_phases_executed(0), 0U);
-  EXPECT_EQ(sharded.shard_phases_executed(1), 0U);
-  EXPECT_GT(sharded.shard_phases_executed(2), 0U);
-  EXPECT_NEAR(sharded.phase_sigma(), sigmas[2], 1e-12);
-  EXPECT_NEAR(sharded.gain(), gains[2], 1e-12);
+  const auto hits = sharded.top_k(query, 430, 500, 3, 1);
+  EXPECT_EQ(hits, mono.top_k_keyed(query, 430, 500, 3, 1));
+  EXPECT_EQ(sharded.phases_executed(), mono.phases_executed());
+  EXPECT_EQ(sharded.noise_draws(), mono.noise_draws());
+  EXPECT_EQ(sharded.phase_sigma(), mono.phase_sigma());
+  EXPECT_EQ(sharded.gain(), mono.gain());
 }
 
 TEST(ShardedSearch, DeterministicAcrossCallsAndThreads) {

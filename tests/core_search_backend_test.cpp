@@ -242,6 +242,32 @@ TEST(SearchBackend, ShardedRejectsCircuitFidelityAtConstruction) {
                std::invalid_argument);
 }
 
+TEST(SearchBackend, IdealHdRejectsMixedDimensionsAtConstruction) {
+  // The sweep runs over one piecewise view of a single dimension; a
+  // library mixing dimensions has none, so the factory must refuse it
+  // (as the IMC engines do) rather than search it some other way.
+  auto refs = random_refs(20, 512, 9);
+  refs[7] = util::BitVec(256);
+  EXPECT_THROW((void)make_backend("ideal-hd", refs, small_options()),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_backend("rram-statistical", refs, small_options()),
+               std::invalid_argument);
+}
+
+TEST(SearchBackend, IdealHdOverEmptyLibraryReturnsNoHits) {
+  const std::vector<util::BitVec> none;
+  auto backend = make_backend("ideal-hd", none, small_options());
+  util::BitVec query(512);
+  query.randomize(3);
+  EXPECT_TRUE(backend->top_k(query, 0, 10, 5, 0).empty());
+  const Query q{&query, 0, 10, 0};
+  const auto out = backend->search_batch(std::span(&q, 1), 5);
+  ASSERT_EQ(out.size(), 1U);
+  EXPECT_TRUE(out[0].empty());
+  EXPECT_EQ(backend->stats().references, 0U);
+  EXPECT_EQ(backend->stats().extent_count, 0U);
+}
+
 TEST(SearchBackend, StatsReportSubstrateAccounting) {
   const auto refs = random_refs(300, 512, 7);
 
@@ -270,7 +296,8 @@ TEST(Pipeline, ShardedPipelineMatchesMonolithicRramPipeline) {
   // Scaling out must be transparent: switching backend_name from
   // "rram-statistical" to "sharded" (statistical shards) on the same
   // workload reproduces the identical PSM list — same IMC-model encoding,
-  // same globally keyed search noise (see ImcSearchConfig::index_offset).
+  // same globally keyed search noise (shards are index ranges of one
+  // engine, so every reference keeps its global noise key).
   ms::WorkloadConfig wcfg;
   wcfg.reference_count = 150;
   wcfg.query_count = 60;
@@ -327,8 +354,6 @@ TEST(BackendStatsComposition, MergeAccumulatesCountersAndAdoptsIdentity) {
   a.batched_queries = 7;
   a.kernel = "avx2";
   a.contiguous_refs = true;
-  a.prefilter_candidates = 20;
-  a.prefilter_scanned = 5;
 
   BackendStats merged;
   merged += a;
@@ -341,8 +366,6 @@ TEST(BackendStatsComposition, MergeAccumulatesCountersAndAdoptsIdentity) {
   EXPECT_EQ(merged.shard_entries, 6U);
   EXPECT_EQ(merged.query_blocks, 4U);
   EXPECT_EQ(merged.batched_queries, 14U);
-  EXPECT_EQ(merged.prefilter_candidates, 40U);
-  EXPECT_EQ(merged.prefilter_scanned, 10U);
   EXPECT_EQ(merged.kernel, "avx2");
   EXPECT_TRUE(merged.contiguous_refs);
   EXPECT_DOUBLE_EQ(merged.phase_sigma, 0.5);
@@ -372,16 +395,10 @@ TEST(BackendStatsComposition, SinceClampsCountersAndKeepsIdentity) {
 /// The composition law the engine's obs scrape relies on: a streaming
 /// consumer that snapshots stats at chunk boundaries and merges the
 /// since() deltas must arrive at exactly the counters of one synchronous
-/// run over the whole batch — for every registered backend, prefilter
-/// accounting included.
+/// run over the whole batch — for every registered backend.
 TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
   BackendOptions sharded_opts = small_options();
   sharded_opts.max_refs_per_shard = 64;
-  BackendOptions prefilter_opts = small_options();
-  prefilter_opts.prefilter.enabled = true;
-  prefilter_opts.prefilter.keep_fraction = 0.25;
-  prefilter_opts.prefilter.min_keep = 8;
-  prefilter_opts.prefilter.audit_fraction = 1.0;
 
   struct Case {
     const char* name;
@@ -393,7 +410,6 @@ TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
   };
   Case cases[] = {
       {"ideal-hd", small_options(), 256, 512, 48, 16},
-      {"ideal-hd", prefilter_opts, 256, 512, 48, 16},
       {"rram-statistical", small_options(), 256, 512, 48, 16},
       {"sharded", sharded_opts, 256, 512, 48, 16},
       // The circuit model walks every analog phase: keep it tiny.
@@ -409,8 +425,7 @@ TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
       query_hvs[i].randomize(5000 + i);
       batch[i] = Query{&query_hvs[i], i % 5, c.n_refs - (i % 3), i};
     }
-    const std::string what =
-        std::string(c.name) + (c.opts.prefilter.enabled ? "+prefilter" : "");
+    const std::string what(c.name);
 
     // Both sides window from their post-construction baseline so any
     // calibration work at construction cancels out of the comparison.
@@ -437,19 +452,7 @@ TEST(BackendStatsComposition, ChunkedDeltasMergeToSynchronousCounters) {
     EXPECT_EQ(merged.shard_entries, sync.shard_entries) << what;
     EXPECT_EQ(merged.query_blocks, sync.query_blocks) << what;
     EXPECT_EQ(merged.batched_queries, sync.batched_queries) << what;
-    EXPECT_EQ(merged.prefilter_candidates, sync.prefilter_candidates) << what;
-    EXPECT_EQ(merged.prefilter_scanned, sync.prefilter_scanned) << what;
-    EXPECT_EQ(merged.prefilter_windows_pruned, sync.prefilter_windows_pruned)
-        << what;
-    EXPECT_EQ(merged.prefilter_windows_bypassed,
-              sync.prefilter_windows_bypassed)
-        << what;
-    EXPECT_EQ(merged.prefilter_audited_queries, sync.prefilter_audited_queries)
-        << what;
-    EXPECT_EQ(merged.prefilter_audit_matched, sync.prefilter_audit_matched)
-        << what;
-    EXPECT_EQ(merged.prefilter_audit_expected, sync.prefilter_audit_expected)
-        << what;
+    EXPECT_EQ(merged.noise_draws, sync.noise_draws) << what;
     EXPECT_EQ(merged.backend, sync.backend) << what;
     EXPECT_EQ(merged.references, sync.references) << what;
     EXPECT_EQ(merged.shards, sync.shards) << what;

@@ -14,6 +14,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/query_engine.hpp"
+#include "hd/kernels.hpp"
 #include "index/index_builder.hpp"
 #include "index/library_index.hpp"
 #include "ms/synthetic.hpp"
@@ -121,17 +122,17 @@ TEST_P(IndexRoundTrip, LoadPathIsBitIdenticalWithZeroEncodes) {
           << "hypervector " << i;
     }
 
-    // The explicit ref_matrix() accessor and the layout auto-detection over
-    // the exposed views must agree: the word block is one contiguous
-    // reference-major matrix on both the mmap and in-memory paths.
-    const hd::RefMatrix direct = idx->ref_matrix();
-    const hd::RefMatrix detected = hd::RefMatrix::from_span(idx->hypervectors());
-    ASSERT_TRUE(direct.valid());
-    ASSERT_TRUE(detected.valid());
-    EXPECT_EQ(direct.words, detected.words);
-    EXPECT_EQ(direct.stride, detected.stride);
-    EXPECT_EQ(direct.count, detected.count);
-    EXPECT_EQ(direct.dim, detected.dim);
+    // The layout the backends coalesce from the exposed views is the raw
+    // word block itself: one contiguous extent, starting at the first
+    // hypervector's words with the index's row stride, on both the mmap
+    // and in-memory paths.
+    const hd::RefView view = hd::RefView::from_span(idx->hypervectors());
+    ASSERT_TRUE(view.contiguous());
+    const hd::RefExtent& block = view.extents().front();
+    EXPECT_EQ(block.words, idx->hypervector(0).words().data());
+    EXPECT_EQ(block.stride, idx->words_per_hv());
+    EXPECT_EQ(block.rows, idx->size());
+    EXPECT_EQ(view.dim(), idx->dim());
 
     const auto got = from_index.run(workload.queries);
     expect_identical(want, got);

@@ -11,7 +11,7 @@
 //     load path.
 //   * Compaction: rewrites all segments into one with zero encode calls,
 //     byte-identical to a one-shot artifact of the union; search results
-//     are unchanged and the contiguous RefMatrix fast path is restored.
+//     are unchanged and the reference view is one contiguous extent again.
 //   * Guard rails: append validates the fingerprint against the manifest
 //     and refuses injected_ber libraries (the error realization is
 //     batch-sequential, so incremental growth would change stored bytes).
@@ -339,7 +339,7 @@ TEST(IndexSegment, CompactionIsByteIdenticalToOneShotArtifact) {
   remove_segmented(man_path);
 }
 
-TEST(IndexSegment, RefMatrixFastPathLostOnSegmentsRestoredByCompaction) {
+TEST(IndexSegment, ContiguousViewLostOnSegmentsRestoredByCompaction) {
   const auto workload = small_workload(120, 0, 35);
   const auto cfg = test_config("ideal-hd");
   const index::IndexBuilder builder(cfg);
@@ -350,8 +350,9 @@ TEST(IndexSegment, RefMatrixFastPathLostOnSegmentsRestoredByCompaction) {
     const auto lib = index::SegmentedLibrary::open(man_path);
     ASSERT_EQ(lib.segment_count(), 2u);
     // Word blocks live in two disjoint mappings interleaved by mass: no
-    // single contiguous reference-major matrix exists...
-    EXPECT_FALSE(hd::RefMatrix::from_span(lib.hypervectors()).valid());
+    // single contiguous block exists, whether the view is coalesced from
+    // the span or taken from the library...
+    EXPECT_FALSE(hd::RefView::from_span(lib.hypervectors()).contiguous());
     // ...but the piecewise view still covers every row with block-sweep
     // extents — fragmentation costs extents, not the SIMD kernel.
     const hd::RefView& view = lib.ref_view();
@@ -359,18 +360,20 @@ TEST(IndexSegment, RefMatrixFastPathLostOnSegmentsRestoredByCompaction) {
     EXPECT_EQ(view.count(), lib.size());
     EXPECT_GT(view.extent_count(), 1u);
     EXPECT_FALSE(view.contiguous());
-    EXPECT_FALSE(view.matrix().valid());
+    EXPECT_EQ(hd::RefView::from_span(lib.hypervectors()).extent_count(),
+              view.extent_count());
   }
   (void)builder.compact(man_path);
   {
     const auto lib = index::SegmentedLibrary::open(man_path);
     ASSERT_EQ(lib.segment_count(), 1u);
-    EXPECT_TRUE(hd::RefMatrix::from_span(lib.hypervectors()).valid());
-    // One segment degenerates to the monolithic layout: a single extent,
-    // convertible back to the plain RefMatrix.
+    EXPECT_TRUE(hd::RefView::from_span(lib.hypervectors()).contiguous());
+    // One segment degenerates to the monolithic layout: a single extent
+    // starting at global index 0 and covering every row.
     EXPECT_TRUE(lib.ref_view().contiguous());
     EXPECT_EQ(lib.ref_view().extent_count(), 1u);
-    EXPECT_TRUE(lib.ref_view().matrix().valid());
+    EXPECT_EQ(lib.ref_view().extents().front().base, 0u);
+    EXPECT_EQ(lib.ref_view().extents().front().rows, lib.size());
   }
   remove_segmented(man_path);
 }
@@ -436,8 +439,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, PiecewiseSweep,
 
 TEST(IndexSegment, PiecewiseBatchedSweepMatchesMonolithicCopy) {
   // Kernel-level check, below the pipeline: batched search over a
-  // 5-segment library's piecewise view vs (a) the per-BitVec span
-  // fallback over the same rows and (b) a monolithic contiguous copy.
+  // 5-segment library's piecewise view vs (a) the per-pair reference loop
+  // over the same rows and (b) a one-extent view of a monolithic copy.
   const auto workload = small_workload(220, 0, 41);
   const auto cfg = test_config("ideal-hd", 2048);
   const index::IndexBuilder builder(cfg);
@@ -454,8 +457,12 @@ TEST(IndexSegment, PiecewiseBatchedSweepMatchesMonolithicCopy) {
   for (std::size_t i = 0; i < view.count(); ++i) {
     std::memcpy(flat.data() + i * wc, view.row(i), wc * sizeof(std::uint64_t));
   }
-  const hd::RefMatrix mono{flat.data(), wc, view.count(), view.dim()};
-  ASSERT_TRUE(mono.valid());
+  std::vector<util::BitVec> flat_rows;
+  for (std::size_t i = 0; i < view.count(); ++i) {
+    flat_rows.push_back(util::BitVec::view(flat.data() + i * wc, view.dim()));
+  }
+  const hd::RefView mono = hd::RefView::from_span(flat_rows);
+  ASSERT_TRUE(mono.contiguous());
 
   std::vector<util::BitVec> queries(16);
   std::vector<hd::BatchQuery> batch;
@@ -469,12 +476,13 @@ TEST(IndexSegment, PiecewiseBatchedSweepMatchesMonolithicCopy) {
   }
 
   const auto piecewise = hd::top_k_search_batch(batch, view, 6);
-  const auto per_vector =
-      hd::top_k_search_batch(batch, lib.hypervectors(), 6);
   const auto contiguous = hd::top_k_search_batch(batch, mono, 6);
   ASSERT_EQ(piecewise.size(), batch.size());
   for (std::size_t q = 0; q < batch.size(); ++q) {
-    EXPECT_EQ(piecewise[q], per_vector[q]) << "query " << q;
+    EXPECT_EQ(piecewise[q],
+              hd::top_k_search(queries[q], lib.hypervectors(), batch[q].first,
+                               batch[q].last, 6))
+        << "query " << q;
     EXPECT_EQ(piecewise[q], contiguous[q]) << "query " << q;
     // And the per-query piecewise overload agrees with the batch.
     EXPECT_EQ(piecewise[q],
